@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "baselines/intersect.hpp"
+#include "kernels/intersect.hpp"
 #include "lotus/h2h_bitarray.hpp"
 #include "util/prng.hpp"
 
@@ -55,7 +55,7 @@ void BM_HashSetProbe(benchmark::State& state) {
   for (std::uint32_t h1 = 1; h1 < kHubs; ++h1)
     for (std::uint32_t h2 = 0; h2 < h1; ++h2)
       if (h2h.test(h1, h2)) keys.push_back((std::uint64_t{h1} << 32) | h2);
-  lotus::baselines::HashedSet<std::uint64_t> set;
+  lotus::kernels::HashedSet<std::uint64_t> set;
   set.build(keys);
   const auto queries = make_queries(2);
   for (auto _ : state) {

@@ -5,14 +5,13 @@
 
 #include <vector>
 
-#include "baselines/intersect.hpp"
-#include "baselines/simd_intersect.hpp"
+#include "kernels/intersect.hpp"
 #include "util/bitset.hpp"
 #include "util/prng.hpp"
 
 namespace {
 
-using namespace lotus::baselines;
+using namespace lotus::kernels;
 
 std::vector<std::uint32_t> make_sorted(std::size_t n, std::uint32_t universe,
                                        std::uint64_t seed) {
@@ -67,7 +66,7 @@ void BM_BinaryBranchfree(benchmark::State& state) {
 void BM_Simd(benchmark::State& state) {
   const auto a = make_sorted(static_cast<std::size_t>(state.range(0)), 1 << 20, 1);
   const auto b = make_sorted(static_cast<std::size_t>(state.range(1)), 1 << 20, 2);
-  for (auto _ : state) benchmark::DoNotOptimize(intersect_simd(a, b));
+  for (auto _ : state) benchmark::DoNotOptimize(intersect<std::uint32_t>(a, b));
   state.SetItemsProcessed(state.iterations() *
                           (state.range(0) + state.range(1)));
 }

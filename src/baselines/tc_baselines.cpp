@@ -1,16 +1,11 @@
 #include "baselines/tc_baselines.hpp"
 
 #include <algorithm>
-#include <vector>
 
-#include "baselines/intersect.hpp"
-#include "baselines/simd_intersect.hpp"
 #include "graph/builder.hpp"
-#include "kernels/hybrid.hpp"
 #include "graph/degree_order.hpp"
+#include "kernels/intersect.hpp"
 #include "parallel/parallel_for.hpp"
-#include "util/bitset.hpp"
-#include "util/memory_budget.hpp"
 #include "util/timer.hpp"
 
 namespace lotus::baselines {
@@ -18,6 +13,7 @@ namespace lotus::baselines {
 using graph::CsrGraph;
 using graph::OrientedCsr;
 using graph::VertexId;
+using kernels::intersect_merge;
 
 namespace {
 
@@ -36,127 +32,15 @@ TcResult end_to_end(const CsrGraph& g, Kernel&& kernel) {
 
 }  // namespace
 
-std::uint64_t forward_merge_prepared(const OrientedCsr& oriented) {
-  const VertexId n = oriented.num_vertices();
-  return parallel::parallel_reduce_add<std::uint64_t>(
-      0, n, 64, [&](std::uint64_t vi) {
-        const auto v = static_cast<VertexId>(vi);
-        auto nv = oriented.neighbors(v);
-        std::uint64_t local = 0;
-        for (VertexId u : nv)
-          local += intersect_merge<VertexId>(nv, oriented.neighbors(u));
-        return local;
-      });
-}
-
-std::uint64_t forward_simd_prepared(const OrientedCsr& oriented) {
-  const VertexId n = oriented.num_vertices();
-  return parallel::parallel_reduce_add<std::uint64_t>(
-      0, n, 64, [&](std::uint64_t vi) {
-        const auto v = static_cast<VertexId>(vi);
-        auto nv = oriented.neighbors(v);
-        std::uint64_t local = 0;
-        for (VertexId u : nv)
-          local += intersect_simd(nv, oriented.neighbors(u));
-        return local;
-      });
-}
-
-std::uint64_t forward_gallop_prepared(const OrientedCsr& oriented) {
-  const VertexId n = oriented.num_vertices();
-  return parallel::parallel_reduce_add<std::uint64_t>(
-      0, n, 64, [&](std::uint64_t vi) {
-        const auto v = static_cast<VertexId>(vi);
-        auto nv = oriented.neighbors(v);
-        std::uint64_t local = 0;
-        for (VertexId u : nv)
-          local += intersect_gallop<VertexId>(oriented.neighbors(u), nv);
-        return local;
-      });
-}
-
-std::uint64_t forward_hashed_prepared(const OrientedCsr& oriented) {
-  const VertexId n = oriented.num_vertices();
-  // The per-thread HashedSet scratch peaks at the largest out-degree; charge
-  // it up front (master thread) so a memory budget can veto this kernel and
-  // the caller can degrade to the scratch-free merge intersection.
-  if (util::memory_accounting_active()) {
-    std::size_t max_degree = 0;
-    for (VertexId v = 0; v < n; ++v)
-      max_degree = std::max(max_degree, oriented.neighbors(v).size());
-    std::size_t cap = 16;
-    while (cap < max_degree * 2) cap <<= 1;
-    util::charge_current(static_cast<std::uint64_t>(parallel::max_parallelism()) *
-                             cap * sizeof(std::uint64_t),
-                         "hash_scratch");
-  }
-  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::max_parallelism());
-  parallel::parallel_for(0, n, 64,
-      [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
-        HashedSet<VertexId> set;  // rebuilt per outer vertex, reused per chunk
-        std::uint64_t local = 0;
-        for (std::uint64_t vi = b; vi < e; ++vi) {
-          const auto v = static_cast<VertexId>(vi);
-          auto nv = oriented.neighbors(v);
-          if (nv.size() < 2) continue;
-          set.build(nv);
-          for (VertexId u : nv) local += set.count_hits(oriented.neighbors(u));
-        }
-        partial[thread_index].value += local;
-      });
-  std::uint64_t total = 0;
-  for (const auto& p : partial) total += p.value;
-  return total;
+std::uint64_t forward_prepared(const OrientedCsr& oriented,
+                               const kernels::IntersectStrategy& strategy) {
+  return kernels::forward_count(
+      oriented.num_vertices(),
+      [&](VertexId v) { return oriented.neighbors(v); }, strategy);
 }
 
 std::uint64_t forward_bitmap_prepared(const OrientedCsr& oriented) {
-  const VertexId n = oriented.num_vertices();
-  // Each thread owns an n-bit bitmap; charge all of them up front (master
-  // thread) so a budget can veto the kernel before any worker allocates.
-  util::charge_current(static_cast<std::uint64_t>(parallel::max_parallelism()) *
-                           ((static_cast<std::uint64_t>(n) + 63) / 64 * 8),
-                       "bitmap_scratch");
-  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::max_parallelism());
-  parallel::parallel_for(0, n, 64,
-      [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
-        util::Bitset bitmap(n);  // per-chunk; bits are unset after each vertex
-        std::uint64_t local = 0;
-        for (std::uint64_t vi = b; vi < e; ++vi) {
-          const auto v = static_cast<VertexId>(vi);
-          auto nv = oriented.neighbors(v);
-          if (nv.size() < 2) continue;
-          for (VertexId u : nv) bitmap.set(u);
-          for (VertexId u : nv)
-            local += count_bitmap_hits<VertexId>(oriented.neighbors(u), bitmap);
-          for (VertexId u : nv) bitmap.clear(u);
-        }
-        partial[thread_index].value += local;
-      });
-  std::uint64_t total = 0;
-  for (const auto& p : partial) total += p.value;
-  return total;
-}
-
-std::uint64_t forward_hybrid_prepared(const OrientedCsr& oriented,
-                                      std::uint32_t degree_threshold) {
-  const VertexId n = oriented.num_vertices();
-  // The hybrid's per-thread bitmaps allocate lazily on worker threads, where
-  // a budget cannot be charged; charge the worst case up front (master
-  // thread) like forward_bitmap — but only when some vertex will actually
-  // reach the dense path.
-  if (util::memory_accounting_active()) {
-    bool any_dense = false;
-    for (VertexId v = 0; v < n && !any_dense; ++v)
-      any_dense = oriented.neighbors(v).size() >= degree_threshold;
-    if (any_dense)
-      util::charge_current(
-          static_cast<std::uint64_t>(parallel::max_parallelism()) *
-              ((static_cast<std::uint64_t>(n) + 63) / 64 * 8),
-          "hybrid_scratch");
-  }
-  return kernels::hybrid_forward_count(
-      n, [&](std::uint32_t v) { return oriented.neighbors(v); },
-      degree_threshold);
+  return forward_prepared(oriented, kernels::strategy::kBitmap);
 }
 
 std::uint64_t edge_parallel_forward_prepared(const OrientedCsr& oriented) {
@@ -205,15 +89,13 @@ std::uint64_t blocked_tc_prepared(const OrientedCsr& oriented,
       });
 }
 
-TcResult forward_merge(const CsrGraph& g) { return end_to_end(g, forward_merge_prepared); }
-TcResult forward_simd(const CsrGraph& g) { return end_to_end(g, forward_simd_prepared); }
-TcResult forward_gallop(const CsrGraph& g) { return end_to_end(g, forward_gallop_prepared); }
-TcResult forward_hashed(const CsrGraph& g) { return end_to_end(g, forward_hashed_prepared); }
-TcResult forward_bitmap(const CsrGraph& g) { return end_to_end(g, forward_bitmap_prepared); }
-TcResult forward_hybrid(const CsrGraph& g) {
-  return end_to_end(g, [](const OrientedCsr& oriented) {
-    return forward_hybrid_prepared(oriented);
+TcResult forward(const CsrGraph& g, const kernels::IntersectStrategy& strategy) {
+  return end_to_end(g, [&](const OrientedCsr& oriented) {
+    return forward_prepared(oriented, strategy);
   });
+}
+TcResult forward_merge(const CsrGraph& g) {
+  return forward(g, kernels::strategy::kMerge);
 }
 TcResult edge_parallel_forward(const CsrGraph& g) {
   return end_to_end(g, edge_parallel_forward_prepared);

@@ -2,18 +2,16 @@
 //
 // These reimplement, from scratch, the comparator kernels of the paper's
 // evaluation (Sec. 5.1.4) plus the classical algorithms of Sec. 2.2:
-//   * forward_*            — Alg. 1 (Forward with degree ordering); the merge
-//                            variant is the GAP-style kernel, the gallop
-//                            variant the binary-search flavour of [31].
+//   * forward              — Alg. 1 (Forward with degree ordering) under an
+//                            intersection strategy (kernels/forward.hpp):
+//                            GAP-style merge, the galloping search of [31],
+//                            the dispatched SIMD merge, Schank & Wagner's
+//                            hashed set, Latapy's bitmap, or the
+//                            sparse-vs-dense hybrid.
 //   * edge_parallel_forward— GBBS-style: parallelism over oriented edges
 //                            rather than vertices (parallelized intersection).
 //   * edge_iterator        — GraphGrind-style iterator over full lists.
 //   * node_iterator        — classical pair-enumeration algorithm.
-//   * forward_hashed       — Schank & Wagner's hash-container variant.
-//   * forward_bitmap       — Latapy's bitmap (new-vertex-listing) variant.
-//   * forward_hybrid       — sparse-vs-dense degree split: dense-bitmap
-//                            popcount probing above a degree threshold,
-//                            dispatched SIMD merge below (kernels/hybrid.hpp).
 //   * blocked_tc           — BBTC-style block-based traversal.
 //   * brute_force          — O(V·d_max^2) oracle used only by tests.
 //
@@ -25,8 +23,11 @@
 #include <cstdint>
 
 #include "graph/csr.hpp"
+#include "kernels/forward.hpp"
 
 namespace lotus::baselines {
+
+using kernels::null_probe;
 
 /// End-to-end result: triangle count plus the two phases the paper times.
 struct TcResult {
@@ -38,24 +39,19 @@ struct TcResult {
 };
 
 // --- Kernel-only entry points (prepared, degree-ordered oriented input).
-std::uint64_t forward_merge_prepared(const graph::OrientedCsr& oriented);
-std::uint64_t forward_simd_prepared(const graph::OrientedCsr& oriented);
-std::uint64_t forward_gallop_prepared(const graph::OrientedCsr& oriented);
-std::uint64_t forward_hashed_prepared(const graph::OrientedCsr& oriented);
+std::uint64_t forward_prepared(const graph::OrientedCsr& oriented,
+                               const kernels::IntersectStrategy& strategy);
+/// forward_prepared under kernels::strategy::kBitmap.
 std::uint64_t forward_bitmap_prepared(const graph::OrientedCsr& oriented);
-std::uint64_t forward_hybrid_prepared(const graph::OrientedCsr& oriented,
-                                      std::uint32_t degree_threshold = 64);
 std::uint64_t edge_parallel_forward_prepared(const graph::OrientedCsr& oriented);
 std::uint64_t blocked_tc_prepared(const graph::OrientedCsr& oriented,
                                   graph::VertexId block_size);
 
 // --- End-to-end entry points (symmetric input; includes degree ordering).
+TcResult forward(const graph::CsrGraph& graph,
+                 const kernels::IntersectStrategy& strategy);
+/// forward under kernels::strategy::kMerge (gap-forward).
 TcResult forward_merge(const graph::CsrGraph& graph);
-TcResult forward_simd(const graph::CsrGraph& graph);  // AVX2 intersection
-TcResult forward_gallop(const graph::CsrGraph& graph);
-TcResult forward_hashed(const graph::CsrGraph& graph);
-TcResult forward_bitmap(const graph::CsrGraph& graph);
-TcResult forward_hybrid(const graph::CsrGraph& graph);
 TcResult edge_parallel_forward(const graph::CsrGraph& graph);
 TcResult edge_iterator(const graph::CsrGraph& graph);
 TcResult node_iterator(const graph::CsrGraph& graph);

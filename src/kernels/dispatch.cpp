@@ -7,7 +7,7 @@ namespace lotus::kernels {
 namespace {
 
 // Scalar reference kernels. Branch-free merge advances (cmov) rather than
-// the branching merge of baselines/intersect.hpp: the dispatched fast path
+// the branching intersect_merge of kernels/intersect.hpp: the dispatched path
 // has no probe to report branches to, so the branchless form is strictly
 // better here. Counts are identical.
 template <typename T>

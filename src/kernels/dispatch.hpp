@@ -8,9 +8,10 @@
 //
 // These kernels are the *uninstrumented* fast paths: they take raw pointers,
 // carry no memory probe, and flush no obs counters themselves. The
-// probe/obs contract of baselines/intersect.hpp is preserved one layer up —
-// kernels/intersect.hpp routes probed calls to the scalar mirror and flushes
-// comparison totals for dispatched calls. See docs/KERNELS.md.
+// probe/obs contract is kept one layer up: kernels/intersect.hpp and the
+// Forward loop (kernels/forward.hpp) route probed calls to the scalar
+// mirrors and flush comparison totals for dispatched calls. See
+// docs/KERNELS.md.
 #pragma once
 
 #include <cstddef>

@@ -1,41 +1,315 @@
-// Probe-aware front door to the dispatched merge kernels.
+// Sorted-set intersection kernels — the one intersection module.
 //
-// The instrumentation contract (baselines/intersect.hpp): every kernel the
-// counting phases call must accept a memory probe and, when one is attached,
-// replay the exact scalar access stream — SIMD lanes have no per-element
-// addresses to report. This wrapper enforces that contract at compile time:
-// a NullProbe call with vectorization enabled goes through the runtime
-// dispatch table; any other probe type — or vectorize == false, the scalar
-// reference path of QueryOptions — routes to the probe-templated scalar
-// mirror, which produces the identical count.
+// The four standard intersection strategies surveyed by the paper (Sec. 2.2
+// / 6.3): merge join, binary/galloping search, hashing and bitmap lookup,
+// plus `intersect`, the probe-aware front door to the runtime-dispatched
+// SIMD merge (kernels/dispatch.hpp).
 //
-// obs accounting: the dispatched path flushes |a|+|b| element comparisons
-// (both lists are read in full by the block compare) once per call, plus a
-// fruitless-search tick for empty intersections, mirroring intersect_merge.
-// Identical across ISA tiers, so forcing LOTUS_ISA never shifts counters
-// between tiers; the scalar mirror reports its exact merge-step count, which
-// is ≤ |a|+|b|. See docs/KERNELS.md.
+// The instrumentation contract: every kernel a counting phase calls accepts
+// a memory probe, so the instrumented replays (src/tc) feed the exact
+// access/branch stream into the hardware models without duplicating
+// algorithm code; the default NullProbe compiles to nothing. SIMD lanes have
+// no per-element addresses to report, so `intersect` enforces the contract
+// at compile time: a NullProbe call with vectorization enabled goes through
+// the dispatch table; any other probe type — or vectorize == false, the
+// scalar reference path of QueryOptions — routes to the scalar merge, which
+// produces the identical count.
+//
+// obs accounting: the merge and gallop kernels flush their exact
+// element-comparison and fruitless-search totals to the per-thread obs
+// counters once per call (obs/counters.hpp). Dispatched `intersect` calls
+// flush |a|+|b| comparisons (the block compare reads both lists in full)
+// plus a fruitless tick for empty intersections — identical across ISA
+// tiers, so forcing LOTUS_ISA never shifts counters. Building with
+// LOTUS_OBS=0 turns every flush into a no-op. See docs/KERNELS.md.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
+#include <vector>
 
-#include "baselines/intersect.hpp"
 #include "kernels/dispatch.hpp"
 #include "obs/counters.hpp"
+#include "util/bitset.hpp"
 
 namespace lotus::kernels {
 
+/// No-op probe: kernels instantiated with it carry zero overhead.
+struct NullProbe {
+  void read(const void* /*addr*/, std::size_t /*bytes*/) noexcept {}
+  void branch(std::uint64_t /*site*/, bool /*taken*/) noexcept {}
+  void op(std::uint64_t /*count*/ = 1) noexcept {}
+};
+
+inline NullProbe null_probe;  // shared default; stateless by construction
+
+/// |a ∩ b| by simultaneous scan. The kernel of choice for short, similarly
+/// sized lists (LOTUS uses it for NNN and HNN; Sec. 4.4.3).
+template <typename T, typename Probe = NullProbe>
+std::uint64_t intersect_merge(std::span<const T> a, std::span<const T> b,
+                              Probe& probe = null_probe) {
+  std::uint64_t count = 0;
+  std::uint64_t comparisons = 0;  // dead when LOTUS_OBS=0
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    probe.read(&a[i], sizeof(T));
+    probe.read(&b[j], sizeof(T));
+    probe.op();
+    ++comparisons;
+    const bool less = a[i] < b[j];
+    probe.branch(0, less);
+    if (less) {
+      ++i;
+    } else {
+      const bool greater = a[i] > b[j];
+      probe.branch(1, greater);
+      if (greater) {
+        ++j;
+      } else {
+        ++count;
+        ++i;
+        ++j;
+      }
+    }
+  }
+  obs::count(obs::Counter::kIntersectComparisons, comparisons);
+  if (count == 0 && comparisons > 0)
+    obs::count(obs::Counter::kFruitlessSearches);
+  return count;
+}
+
+/// |a ∩ b| with galloping (exponential + binary) search of each element of
+/// the shorter list in the longer one — the GPU-favoured strategy of [31].
+template <typename T, typename Probe = NullProbe>
+std::uint64_t intersect_gallop(std::span<const T> a, std::span<const T> b,
+                               Probe& probe = null_probe) {
+  if (a.size() > b.size()) return intersect_gallop(b, a, probe);
+  std::uint64_t count = 0;
+  std::uint64_t comparisons = 0;  // dead when LOTUS_OBS=0
+  std::size_t lo = 0;
+  for (const T& x : a) {
+    probe.read(&x, sizeof(T));
+    // Gallop to bracket x, then binary-search the bracket.
+    std::size_t step = 1, hi = lo;
+    while (hi < b.size()) {
+      probe.read(&b[hi], sizeof(T));
+      probe.op();
+      ++comparisons;
+      const bool keep_going = b[hi] < x;
+      probe.branch(2, keep_going);
+      if (!keep_going) break;
+      lo = hi + 1;
+      hi += step;
+      step <<= 1;
+    }
+    std::size_t right = hi < b.size() ? hi + 1 : b.size();
+    while (lo < right) {
+      const std::size_t mid = lo + (right - lo) / 2;
+      probe.read(&b[mid], sizeof(T));
+      probe.op();
+      ++comparisons;
+      const bool go_right = b[mid] < x;
+      probe.branch(3, go_right);
+      if (go_right)
+        lo = mid + 1;
+      else
+        right = mid;
+    }
+    if (lo < b.size()) {
+      probe.read(&b[lo], sizeof(T));
+      ++comparisons;
+      if (b[lo] == x) {
+        ++count;
+        ++lo;
+      }
+    } else {
+      break;  // every remaining a element exceeds b's maximum
+    }
+  }
+  obs::count(obs::Counter::kIntersectComparisons, comparisons);
+  if (count == 0 && comparisons > 0)
+    obs::count(obs::Counter::kFruitlessSearches);
+  return count;
+}
+
+/// Merge join that reports each common element to `visit` — used by the
+/// per-vertex (local) triangle counter, which must know *which* third
+/// vertex closes each triangle, not just how many do.
+template <typename T, typename Visitor>
+void intersect_merge_visit(std::span<const T> a, std::span<const T> b,
+                           Visitor&& visit) {
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (a[i] > b[j]) {
+      ++j;
+    } else {
+      visit(a[i]);
+      ++i;
+      ++j;
+    }
+  }
+}
+
+/// Branch-free merge: advances are computed arithmetically so the
+/// data-dependent comparison never becomes a mispredictable branch — the
+/// branch-miss reduction idea of [32] applied to merge join.
+template <typename T, typename Probe = NullProbe>
+std::uint64_t intersect_merge_branchless(std::span<const T> a,
+                                         std::span<const T> b,
+                                         Probe& probe = null_probe) {
+  std::uint64_t count = 0;
+  std::uint64_t comparisons = 0;  // dead when LOTUS_OBS=0
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    const T x = a[i];
+    const T y = b[j];
+    probe.read(&a[i], sizeof(T));
+    probe.read(&b[j], sizeof(T));
+    probe.op();
+    ++comparisons;
+    count += x == y ? 1u : 0u;
+    i += x <= y ? 1u : 0u;  // compiles to cmov/setcc, not a branch
+    j += y <= x ? 1u : 0u;
+  }
+  obs::count(obs::Counter::kIntersectComparisons, comparisons);
+  if (count == 0 && comparisons > 0)
+    obs::count(obs::Counter::kFruitlessSearches);
+  return count;
+}
+
+/// Branch-free binary search of each element of the shorter list in the
+/// longer (Khuong-Morin array layout search [40], as deployed by [33]).
+template <typename T, typename Probe = NullProbe>
+std::uint64_t intersect_binary_branchfree(std::span<const T> a,
+                                          std::span<const T> b,
+                                          Probe& probe = null_probe) {
+  if (a.size() > b.size()) return intersect_binary_branchfree(b, a, probe);
+  if (b.empty()) return 0;
+  std::uint64_t count = 0;
+  for (const T& x : a) {
+    probe.read(&x, sizeof(T));
+    const T* base = b.data();
+    std::size_t n = b.size();
+    while (n > 1) {
+      const std::size_t half = n / 2;
+      probe.read(&base[half - 1], sizeof(T));
+      probe.op();
+      base += base[half - 1] < x ? half : 0;  // cmov, no branch
+      n -= half;
+    }
+    probe.read(base, sizeof(T));
+    count += *base == x ? 1u : 0u;
+  }
+  return count;
+}
+
+/// Open-addressing hash set sized for one neighbour list; reused across
+/// probes of the same list (forward-hashed of Schank & Wagner, the hashed
+/// dense side of kernels/forward.hpp).
+///
+/// The empty-slot sentinel is the all-ones 64-bit value. Keys narrower than
+/// 64 bits (the vertex-ID instantiations) widen to values that can never
+/// equal the sentinel; a 64-bit key equal to ~0 would be indistinguishable
+/// from an empty slot and silently unstorable, so build() rejects it with
+/// std::invalid_argument instead of corrupting the table.
+template <typename T>
+class HashedSet {
+ public:
+  /// Slot count build() allocates for `keys` keys (a power of two, ≥ 2×).
+  [[nodiscard]] static std::size_t capacity_for(std::size_t keys) noexcept {
+    std::size_t cap = 16;
+    while (cap < keys * 2) cap <<= 1;
+    return cap;
+  }
+
+  void build(std::span<const T> keys) {
+    const std::size_t cap = capacity_for(keys.size());
+    mask_ = cap - 1;
+    slots_.assign(cap, kEmpty);
+    for (const T& k : keys) {
+      if constexpr (sizeof(T) >= sizeof(std::uint64_t))
+        if (static_cast<std::uint64_t>(k) == kEmpty)
+          throw std::invalid_argument(
+              "HashedSet: key ~0 collides with the empty-slot sentinel");
+      insert(k);
+    }
+  }
+
+  template <typename Probe = NullProbe>
+  [[nodiscard]] bool contains(T key, Probe& probe = null_probe) const {
+    // Default-constructed set: no slots, nothing is a member. Without this
+    // guard mask_ == 0 would index slots_[0] of an empty vector.
+    if (slots_.empty()) return false;
+    std::size_t slot = hash(key) & mask_;
+    for (;;) {
+      probe.read(&slots_[slot], sizeof(std::uint64_t));
+      probe.op();
+      const std::uint64_t s = slots_[slot];
+      if (s == kEmpty) return false;
+      if (static_cast<T>(s) == key) return true;
+      slot = (slot + 1) & mask_;
+    }
+  }
+
+  template <typename Probe = NullProbe>
+  [[nodiscard]] std::uint64_t count_hits(std::span<const T> queries,
+                                         Probe& probe = null_probe) const {
+    std::uint64_t count = 0;
+    for (const T& q : queries) {
+      probe.read(&q, sizeof(T));
+      count += contains(q, probe) ? 1u : 0u;
+    }
+    return count;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  static std::size_t hash(T key) noexcept {
+    std::uint64_t x = static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ULL;
+    return static_cast<std::size_t>(x >> 32);
+  }
+
+  void insert(T key) {
+    std::size_t slot = hash(key) & mask_;
+    while (slots_[slot] != kEmpty) {
+      if (static_cast<T>(slots_[slot]) == key) return;
+      slot = (slot + 1) & mask_;
+    }
+    slots_[slot] = static_cast<std::uint64_t>(key);
+  }
+
+  std::size_t mask_ = 0;
+  std::vector<std::uint64_t> slots_;
+};
+
+/// Bitmap membership: caller sets bits for the reference list, then counts
+/// hits of query lists (Latapy's new-vertex-listing).
+template <typename T, typename Probe = NullProbe>
+std::uint64_t count_bitmap_hits(std::span<const T> queries,
+                                const util::Bitset& bitmap,
+                                Probe& probe = null_probe) {
+  std::uint64_t count = 0;
+  for (const T& q : queries) {
+    probe.read(&q, sizeof(T));
+    probe.op();
+    count += bitmap.test(q) ? 1u : 0u;
+  }
+  return count;
+}
+
 /// |a ∩ b| of strictly ascending lists (u16 for the HE compact IDs, u32 for
 /// vertex IDs), dispatched per active_isa() when uninstrumented.
-template <typename T, typename Probe = baselines::NullProbe>
+template <typename T, typename Probe = NullProbe>
 std::uint64_t intersect(std::span<const T> a, std::span<const T> b,
-                        Probe& probe = baselines::null_probe,
-                        bool vectorize = true) {
+                        Probe& probe = null_probe, bool vectorize = true) {
   static_assert(std::is_unsigned_v<T> && (sizeof(T) == 2 || sizeof(T) == 4),
                 "dispatch table covers u16 and u32 element types");
-  if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
+  if constexpr (std::is_same_v<Probe, NullProbe>) {
     if (vectorize) {
       const KernelTable& table = kernel_table();
       std::uint64_t found;
@@ -57,7 +331,7 @@ std::uint64_t intersect(std::span<const T> a, std::span<const T> b,
       return found;
     }
   }
-  return baselines::intersect_merge<T>(a, b, probe);
+  return intersect_merge<T>(a, b, probe);
 }
 
 }  // namespace lotus::kernels

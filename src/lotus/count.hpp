@@ -11,8 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/intersect.hpp"
-#include "kernels/hybrid.hpp"
+#include "kernels/forward.hpp"
 #include "kernels/intersect.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus/tiling.hpp"
@@ -59,11 +58,11 @@ std::vector<std::vector<HubTile>> build_hub_tasks(const LotusGraph& lg,
 /// read mostly zero words — keep the scalar bit probes. The obs counter
 /// kBitarrayProbes keeps counting *logical* (h1, h2) membership tests under
 /// both paths, so the Table 8 probe totals stay comparable.
-template <typename Probe = baselines::NullProbe>
+template <typename Probe = kernels::NullProbe>
 HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
                              TilingPolicy policy = TilingPolicy::kSquared,
                              std::vector<double>* busy_s_out = nullptr,
-                             Probe& probe = baselines::null_probe) {
+                             Probe& probe = kernels::null_probe) {
   const TriangularBitArray& h2h = lg.h2h();
   const graph::Csr16& he = lg.he();
 
@@ -86,7 +85,7 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
         probes += pair_work(tile.begin, tile.end);
         std::uint64_t found = 0;
         bool counted = false;
-        if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
+        if constexpr (std::is_same_v<Probe, kernels::NullProbe>) {
           if (config.vectorize && tile.end >= 2) {
             // Model: scalar pays ~1 op per enumerated pair; the popcount
             // path pays ~1 op per row window word plus the bitmap
@@ -164,9 +163,9 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
 /// common hub neighbours of v and u in the compact 16-bit HE lists — via the
 /// dispatched 16-bit vectorized merge when `vectorize` and no probe is
 /// attached, the probe-templated scalar mirror otherwise.
-template <typename Probe = baselines::NullProbe>
+template <typename Probe = kernels::NullProbe>
 std::uint64_t count_hnn(const LotusGraph& lg,
-                        Probe& probe = baselines::null_probe,
+                        Probe& probe = kernels::null_probe,
                         bool vectorize = true) {
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();
@@ -186,49 +185,42 @@ std::uint64_t count_hnn(const LotusGraph& lg,
 
 /// Phase 3 — NNN (Alg. 3 lines 10-12): Forward algorithm restricted to the
 /// NHE sub-graph; hub edges are never touched (the pruning of Sec. 3.3).
-/// Uninstrumented vectorized runs go through the sparse-vs-dense hybrid
-/// (kernels/hybrid.hpp). Its dense-bitmap scratch is suppressed — threshold
+/// Uninstrumented vectorized runs use the sparse-vs-dense hybrid strategy
+/// of the Forward loop (kernels/forward.hpp); probed or `!vectorize` runs
+/// the scalar merge. The dense-bitmap scratch is suppressed — threshold
 /// pushed out of reach — while a memory budget is accounting, so the LOTUS
 /// footprint under a budget stays exactly the accounted topology.
-template <typename Probe = baselines::NullProbe>
+template <typename Probe = kernels::NullProbe>
 std::uint64_t count_nnn(const LotusGraph& lg,
-                        Probe& probe = baselines::null_probe,
+                        Probe& probe = kernels::null_probe,
                         bool vectorize = true,
                         std::uint32_t hybrid_degree_threshold = 64) {
+  using kernels::DenseSet;
+  using kernels::SparseKernel;
   const graph::CsrGraph& nhe = lg.nhe();
-  if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
+  const auto neighbors = [&](std::uint32_t v) { return nhe.neighbors(v); };
+  if constexpr (std::is_same_v<Probe, kernels::NullProbe>) {
     if (vectorize) {
       const std::uint32_t threshold =
           util::memory_accounting_active() || hybrid_degree_threshold == 0
-              ? ~std::uint32_t{0}
+              ? kernels::kNeverDense
               : hybrid_degree_threshold;
-      return kernels::hybrid_forward_count(
-          lg.num_vertices(),
-          [&](std::uint32_t v) { return nhe.neighbors(v); }, threshold);
+      return kernels::forward_loop<SparseKernel::kDispatched, DenseSet::kBitmap>(
+          lg.num_vertices(), neighbors, threshold, probe);
     }
   }
-  return parallel::parallel_reduce_add<std::uint64_t>(
-      0, lg.num_vertices(), 64, [&](std::uint64_t vi) {
-        const auto v = static_cast<graph::VertexId>(vi);
-        auto nv = nhe.neighbors(v);
-        std::uint64_t local = 0;
-        for (graph::VertexId u : nv) {
-          probe.read(&u, sizeof(graph::VertexId));
-          local += baselines::intersect_merge<graph::VertexId>(
-              nv, nhe.neighbors(u), probe);
-        }
-        return local;
-      });
+  return kernels::forward_loop<SparseKernel::kMerge, DenseSet::kNone>(
+      lg.num_vertices(), neighbors, kernels::kNeverDense, probe);
 }
 
 /// Blocked HNN (the second Sec. 7 future-work item): processes non-hub
 /// edges in blocks of their target u, so the randomly accessed HE lists of
 /// one pass come from a bounded ID range and can stay cached. Counting is
 /// identical to count_hnn; only the traversal order changes.
-template <typename Probe = baselines::NullProbe>
+template <typename Probe = kernels::NullProbe>
 std::uint64_t count_hnn_blocked(const LotusGraph& lg,
                                 graph::VertexId block_size,
-                                Probe& probe = baselines::null_probe,
+                                Probe& probe = kernels::null_probe,
                                 bool vectorize = true) {
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();
@@ -259,9 +251,9 @@ std::uint64_t count_hnn_blocked(const LotusGraph& lg,
 /// Fused HNN + NNN (the rejected alternative of Sec. 4.5, kept for the
 /// ablation bench): one pass over NHE doing both intersections, enlarging
 /// the randomly accessed working set.
-template <typename Probe = baselines::NullProbe>
+template <typename Probe = kernels::NullProbe>
 std::uint64_t count_hnn_nnn_fused(const LotusGraph& lg,
-                                  Probe& probe = baselines::null_probe,
+                                  Probe& probe = kernels::null_probe,
                                   bool vectorize = true) {
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();

@@ -2,7 +2,7 @@
 
 #include <atomic>
 
-#include "baselines/intersect.hpp"
+#include "kernels/intersect.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/memory_budget.hpp"
@@ -53,7 +53,7 @@ std::vector<std::uint64_t> count_triangles_local_prepared(const LotusGraph& lg) 
           const auto v = static_cast<VertexId>(vi);
           auto hub_list = he.neighbors(v);
           for (VertexId u : nhe.neighbors(v)) {
-            baselines::intersect_merge_visit<std::uint16_t>(
+            kernels::intersect_merge_visit<std::uint16_t>(
                 hub_list, he.neighbors(u), [&](std::uint16_t h) {
                   credit(v);
                   credit(u);
@@ -70,7 +70,7 @@ std::vector<std::uint64_t> count_triangles_local_prepared(const LotusGraph& lg) 
           const auto v = static_cast<VertexId>(vi);
           auto nv = nhe.neighbors(v);
           for (VertexId u : nv) {
-            baselines::intersect_merge_visit<VertexId>(
+            kernels::intersect_merge_visit<VertexId>(
                 nv, nhe.neighbors(u), [&](VertexId w) {
                   credit(v);
                   credit(u);

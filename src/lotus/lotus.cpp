@@ -42,7 +42,7 @@ LotusResult count_triangles_prepared(const LotusGraph& lg,
     std::uint64_t fused = 0;
     {
       obs::ScopedSpan span(tracer, "hnn_nnn_fused");
-      fused = count_hnn_nnn_fused(lg, baselines::null_probe, config.vectorize);
+      fused = count_hnn_nnn_fused(lg, kernels::null_probe, config.vectorize);
       if (tracer != nullptr) tracer->note("hnn_nnn", fused);
     }
     // Fused mode cannot attribute per type; report everything as HNN time.
@@ -56,7 +56,7 @@ LotusResult count_triangles_prepared(const LotusGraph& lg,
   timer.reset();
   {
     obs::ScopedSpan span(tracer, "hnn");
-    result.hnn = count_hnn(lg, baselines::null_probe, config.vectorize);
+    result.hnn = count_hnn(lg, kernels::null_probe, config.vectorize);
     if (tracer != nullptr) tracer->note("hnn", result.hnn);
   }
   result.hnn_s = timer.elapsed_s();
@@ -66,7 +66,7 @@ LotusResult count_triangles_prepared(const LotusGraph& lg,
   timer.reset();
   {
     obs::ScopedSpan span(tracer, "nnn");
-    result.nnn = count_nnn(lg, baselines::null_probe, config.vectorize,
+    result.nnn = count_nnn(lg, kernels::null_probe, config.vectorize,
                            config.hybrid_degree_threshold);
     if (tracer != nullptr) tracer->note("nnn", result.nnn);
   }

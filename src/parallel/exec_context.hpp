@@ -4,9 +4,11 @@
 // drives a counting run; parallel_for and the work-stealing scheduler
 // capture the driver's context when a loop starts and poll it at chunk/task
 // granularity (so pool workers observe the interrupt of exactly the query
-// they are executing), and the LOTUS driver checks it between phases. Both
-// conditions are sticky (util/cancel.hpp), so the caller that installed the
-// context can re-check after the run to learn whether any work was skipped.
+// they are executing), and the LOTUS driver checks it between phases. The
+// context latches the first interrupt any poll observes, so the caller that
+// installed it can re-check after the run to learn whether any work was
+// skipped — even if the cancel token was reset() in between (a token is
+// re-armable, so its flag alone is not sticky).
 //
 // Thread-safety: the installed context pointer is thread-local — each query
 // driver thread carries its own, which is what lets tc::Engine run several
@@ -16,6 +18,8 @@
 // guarantees that). Overhead with no context installed: one thread-local
 // load per chunk.
 #pragma once
+
+#include <atomic>
 
 #include "util/cancel.hpp"
 
@@ -29,6 +33,8 @@ enum class Interrupt { kNone, kCancelled, kDeadlineExceeded };
 struct ExecContext {
   const util::CancelToken* cancel = nullptr;
   util::Deadline deadline;
+  /// First interrupt any poll observed; every later poll reports it.
+  mutable std::atomic<Interrupt> latched{Interrupt::kNone};
 };
 
 namespace detail {
@@ -44,13 +50,24 @@ inline const ExecContext*& exec_context_ref() noexcept {
   return detail::exec_context_ref();
 }
 
-/// Poll an explicit (usually captured) context. kNone for nullptr.
+/// Poll an explicit (usually captured) context. kNone for nullptr. The
+/// first interrupt seen is latched into the context and wins every later
+/// poll, from any thread.
 [[nodiscard]] inline Interrupt check_interrupt(const ExecContext* ctx) noexcept {
   if (ctx == nullptr) return Interrupt::kNone;
+  Interrupt seen = ctx->latched.load(std::memory_order_acquire);
+  if (seen != Interrupt::kNone) return seen;
   if (ctx->cancel != nullptr && ctx->cancel->cancelled())
-    return Interrupt::kCancelled;
-  if (ctx->deadline.expired()) return Interrupt::kDeadlineExceeded;
-  return Interrupt::kNone;
+    seen = Interrupt::kCancelled;
+  else if (ctx->deadline.expired())
+    seen = Interrupt::kDeadlineExceeded;
+  else
+    return Interrupt::kNone;
+  Interrupt first = Interrupt::kNone;
+  return ctx->latched.compare_exchange_strong(first, seen,
+                                              std::memory_order_acq_rel)
+             ? seen
+             : first;
 }
 
 /// Poll the context installed on this thread. kNone when none is installed.

@@ -40,7 +40,7 @@ class PerfModel {
   explicit PerfModel(const MachineConfig& machine)
       : l1_(machine.l1), l2_(machine.l2), l3_(machine.l3), dtlb_(machine.dtlb) {}
 
-  // --- Probe interface (matches baselines::NullProbe).
+  // --- Probe interface (matches kernels::NullProbe).
   void read(const void* addr, std::size_t /*bytes*/) {
     const auto a = reinterpret_cast<std::uint64_t>(addr);
     ++counters_.loads;

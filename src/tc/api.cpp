@@ -6,6 +6,7 @@
 #include "baselines/matrix_tc.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/degree_order.hpp"
+#include "kernels/forward.hpp"
 #include "lotus/adaptive.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/lotus_graph.hpp"
@@ -25,20 +26,24 @@ namespace {
 
 // Single source of truth for the CLI/schema names: name(), parse(),
 // all_algorithms() and the benches' sweep order all derive from this table.
-// Order matters — it is the display order (LOTUS first).
+// Order matters — it is the display order (LOTUS first). The Forward family
+// is one loop (kernels/forward.hpp); each of its names selects an
+// intersection strategy here, which also decides its artifact (kOriented)
+// and whether a budget can veto its scratch (a dense side).
 struct AlgorithmName {
   Algorithm algorithm;
   const char* name;
+  std::optional<kernels::IntersectStrategy> forward = std::nullopt;
 };
 constexpr AlgorithmName kAlgorithmTable[] = {
     {Algorithm::kLotus, "lotus"},
     {Algorithm::kAdaptive, "adaptive"},
-    {Algorithm::kForwardMerge, "gap-forward"},
-    {Algorithm::kForwardGallop, "forward-gallop"},
-    {Algorithm::kForwardSimd, "forward-simd"},
-    {Algorithm::kForwardHashed, "forward-hashed"},
-    {Algorithm::kForwardBitmap, "forward-bitmap"},
-    {Algorithm::kForwardHybrid, "forward-hybrid"},
+    {Algorithm::kForwardMerge, "gap-forward", kernels::strategy::kMerge},
+    {Algorithm::kForwardGallop, "forward-gallop", kernels::strategy::kGallop},
+    {Algorithm::kForwardSimd, "forward-simd", kernels::strategy::kSimd},
+    {Algorithm::kForwardHashed, "forward-hashed", kernels::strategy::kHashed},
+    {Algorithm::kForwardBitmap, "forward-bitmap", kernels::strategy::kBitmap},
+    {Algorithm::kForwardHybrid, "forward-hybrid", kernels::strategy::hybrid(64)},
     {Algorithm::kEdgeParallel, "gbbs-edgepar"},
     {Algorithm::kEdgeIterator, "ggrind-edgeit"},
     {Algorithm::kNodeIterator, "node-iterator"},
@@ -79,13 +84,14 @@ util::Status interrupt_status(parallel::Interrupt interrupt) {
                             "QueryOptions::deadline expired before completion"};
 }
 
-// Algorithms whose scratch/topology allocations a memory budget can veto;
-// all of them degrade to the scratch-free gap-forward merge kernel.
+// Algorithms whose scratch/topology allocations a memory budget can veto —
+// LOTUS and every Forward strategy with a dense side; all of them degrade
+// to the scratch-free gap-forward merge kernel.
 bool budget_degradable(Algorithm algorithm) {
-  return algorithm == Algorithm::kLotus || algorithm == Algorithm::kAdaptive ||
-         algorithm == Algorithm::kForwardHashed ||
-         algorithm == Algorithm::kForwardBitmap ||
-         algorithm == Algorithm::kForwardHybrid;
+  if (algorithm == Algorithm::kLotus || algorithm == Algorithm::kAdaptive)
+    return true;
+  const kernels::IntersectStrategy* strategy = detail::forward_strategy(algorithm);
+  return strategy != nullptr && strategy->dense != kernels::DenseSet::kNone;
 }
 
 // One end-to-end (or prepared) execution of the query's analytic, optionally
@@ -100,6 +106,12 @@ RunResult execute_once(Algorithm algorithm, const graph::CsrGraph& graph,
   const core::LotusConfig& config = options.config;
   if (prepared != nullptr)
     return detail::run_prepared_kernel(algorithm, *prepared, config, trace);
+  if (const kernels::IntersectStrategy* strategy =
+          detail::forward_strategy(algorithm)) {
+    const RunResult out = from_baseline(baselines::forward(graph, *strategy));
+    if (trace != nullptr) leaf_spans(*trace, out);
+    return out;
+  }
   switch (algorithm) {
     case Algorithm::kLotus: {
       const core::LotusResult r = core::count_triangles(graph, config, trace);
@@ -123,24 +135,12 @@ RunResult execute_once(Algorithm algorithm, const graph::CsrGraph& graph,
       }
       return out;
     }
-    case Algorithm::kForwardMerge:
-    case Algorithm::kForwardGallop:
-    case Algorithm::kForwardSimd:
-    case Algorithm::kForwardHashed:
-    case Algorithm::kForwardBitmap:
-    case Algorithm::kForwardHybrid:
     case Algorithm::kEdgeParallel:
     case Algorithm::kEdgeIterator:
     case Algorithm::kNodeIterator:
     case Algorithm::kBlocked: {
       baselines::TcResult r;
       switch (algorithm) {
-        case Algorithm::kForwardMerge: r = baselines::forward_merge(graph); break;
-        case Algorithm::kForwardGallop: r = baselines::forward_gallop(graph); break;
-        case Algorithm::kForwardSimd: r = baselines::forward_simd(graph); break;
-        case Algorithm::kForwardHashed: r = baselines::forward_hashed(graph); break;
-        case Algorithm::kForwardBitmap: r = baselines::forward_bitmap(graph); break;
-        case Algorithm::kForwardHybrid: r = baselines::forward_hybrid(graph); break;
         case Algorithm::kEdgeParallel:
           r = baselines::edge_parallel_forward(graph);
           break;
@@ -163,6 +163,8 @@ RunResult execute_once(Algorithm algorithm, const graph::CsrGraph& graph,
       if (trace != nullptr) leaf_spans(*trace, out);
       return out;
     }
+    default:  // the Forward family, dispatched above
+      break;
   }
   return {};
 }
@@ -337,6 +339,13 @@ ProfileReport profiled_once(Algorithm algorithm, const graph::CsrGraph& graph,
 
 namespace detail {
 
+const kernels::IntersectStrategy* forward_strategy(Algorithm algorithm) {
+  for (const AlgorithmName& entry : kAlgorithmTable)
+    if (entry.algorithm == algorithm && entry.forward.has_value())
+      return &*entry.forward;
+  return nullptr;
+}
+
 QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
                           const QueryOptions& options,
                           const PreparedGraph* prepared) {
@@ -383,13 +392,21 @@ QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
     return out;
   }
 
+  // A triangle query's analytic count is its triangle count.
+  const auto stamp_triangle_count = [&](RunResult& r) {
+    if (options.analytic.kind == AnalyticKind::kTriangles)
+      r.analytics.count = r.triangles;
+  };
+
   Algorithm active = algorithm;
   for (int attempt = 0;; ++attempt) {
     try {
       if (options.profile) {
         ProfileReport report = profiled_once(active, graph, options, prepared);
-        // Interrupts are sticky: any chunk or phase the run skipped is still
-        // visible here, so a partial count can never escape as valid.
+        stamp_triangle_count(report.result);
+        // The context latched the first interrupt any poll saw: a chunk or
+        // phase the run skipped is still visible here, so a partial count
+        // can never escape as valid.
         if (const auto i = parallel::check_interrupt();
             i != parallel::Interrupt::kNone) {
           report.status = interrupt_status(i);
@@ -400,8 +417,9 @@ QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
         out.status = report.status;
         out.profile = std::move(report);
       } else {
-        const RunResult result =
+        RunResult result =
             execute_once(active, graph, options, prepared, nullptr);
+        stamp_triangle_count(result);
         if (const auto i = parallel::check_interrupt();
             i != parallel::Interrupt::kNone) {
           out.status = interrupt_status(i);

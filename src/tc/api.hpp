@@ -62,6 +62,10 @@ namespace lotus::obs {
 class Telemetry;  // obs/telemetry.hpp
 }  // namespace lotus::obs
 
+namespace lotus::kernels {
+struct IntersectStrategy;  // kernels/forward.hpp
+}  // namespace lotus::kernels
+
 namespace lotus::tc {
 
 enum class Algorithm {
@@ -437,6 +441,11 @@ namespace detail {
 QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
                           const QueryOptions& options,
                           const PreparedGraph* prepared);
+
+/// The intersection strategy a Forward-family algorithm runs the Forward
+/// loop with (kernels/forward.hpp); nullptr for every other algorithm.
+[[nodiscard]] const kernels::IntersectStrategy* forward_strategy(
+    Algorithm algorithm);
 
 /// Run one triangle-counting algorithm against prebuilt artifacts
 /// (implemented in prepared.cpp; preprocess_s reflects only per-query

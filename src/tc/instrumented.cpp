@@ -1,6 +1,6 @@
 #include "tc/instrumented.hpp"
 
-#include "baselines/intersect.hpp"
+#include "kernels/forward.hpp"
 #include "lotus/count.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -10,17 +10,11 @@ using graph::VertexId;
 
 std::uint64_t replay_forward(const graph::OrientedCsr& oriented,
                              simcache::PerfModel& model) {
-  std::uint64_t triangles = 0;
-  const VertexId n = oriented.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    auto nv = oriented.neighbors(v);
-    for (VertexId u : nv) {
-      model.read(&u, sizeof(VertexId));
-      triangles += baselines::intersect_merge<VertexId>(
-          nv, oriented.neighbors(u), model);
-    }
-  }
-  return triangles;
+  return kernels::forward_loop<kernels::SparseKernel::kMerge,
+                               kernels::DenseSet::kNone>(
+      oriented.num_vertices(),
+      [&](VertexId v) { return oriented.neighbors(v); }, kernels::kNeverDense,
+      model);
 }
 
 namespace {

@@ -7,6 +7,7 @@
 #include "baselines/tc_baselines.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/oocore.hpp"
+#include "kernels/forward.hpp"
 #include "lotus/adaptive.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/serialize.hpp"
@@ -19,26 +20,18 @@
 namespace lotus::tc {
 
 ArtifactKind artifact_kind(Algorithm algorithm) {
+  if (detail::forward_strategy(algorithm) != nullptr)
+    return ArtifactKind::kOriented;
   switch (algorithm) {
     case Algorithm::kLotus:
     case Algorithm::kAdaptive:
       return ArtifactKind::kLotus;
-    case Algorithm::kForwardMerge:
-    case Algorithm::kForwardGallop:
-    case Algorithm::kForwardSimd:
-    case Algorithm::kForwardHashed:
-    case Algorithm::kForwardBitmap:
-    case Algorithm::kForwardHybrid:
     case Algorithm::kEdgeParallel:
     case Algorithm::kBlocked:
       return ArtifactKind::kOriented;
-    case Algorithm::kEdgeIterator:
-    case Algorithm::kNodeIterator:
-    case Algorithm::kAyz:
-    case Algorithm::kSpGemmMasked:
+    default:
       return ArtifactKind::kNone;
   }
-  return ArtifactKind::kNone;
 }
 
 ArtifactKind artifact_kind(Algorithm algorithm, AnalyticKind analytic) {
@@ -323,8 +316,7 @@ RunResult run_prepared_kernel(Algorithm algorithm,
     out.count_s = r.count_s();
     return out;
   };
-  const auto forward_count = [&](std::uint64_t (*kernel)(
-                                 const graph::OrientedCsr&)) -> RunResult {
+  const auto forward_count = [&](const auto& kernel) -> RunResult {
     util::Timer timer;
     RunResult out;
     out.triangles = kernel(oriented());
@@ -332,7 +324,14 @@ RunResult run_prepared_kernel(Algorithm algorithm,
     if (trace != nullptr) trace->leaf("count", out.count_s);
     return out;
   };
+  const auto forward_with = [&](const kernels::IntersectStrategy& strategy) {
+    return forward_count([&](const graph::OrientedCsr& o) {
+      return baselines::forward_prepared(o, strategy);
+    });
+  };
 
+  if (const kernels::IntersectStrategy* strategy = forward_strategy(algorithm))
+    return forward_with(*strategy);
   switch (algorithm) {
     case Algorithm::kLotus:
       return lotus_count();
@@ -345,43 +344,20 @@ RunResult run_prepared_kernel(Algorithm algorithm,
         if (trace != nullptr) trace->note("chosen_algorithm", "lotus");
         return out;
       }
-      RunResult out = forward_count(&baselines::forward_merge_prepared);
+      RunResult out = forward_with(kernels::strategy::kMerge);
       if (trace != nullptr) trace->note("chosen_algorithm", "forward");
       return out;
     }
-    case Algorithm::kForwardMerge:
-      return forward_count(&baselines::forward_merge_prepared);
-    case Algorithm::kForwardGallop:
-      return forward_count(&baselines::forward_gallop_prepared);
-    case Algorithm::kForwardSimd:
-      return forward_count(&baselines::forward_simd_prepared);
-    case Algorithm::kForwardHashed:
-      return forward_count(&baselines::forward_hashed_prepared);
-    case Algorithm::kForwardBitmap:
-      return forward_count(&baselines::forward_bitmap_prepared);
-    case Algorithm::kForwardHybrid:
-      return forward_count([](const graph::OrientedCsr& o) {
-        return baselines::forward_hybrid_prepared(o);
-      });
     case Algorithm::kEdgeParallel:
       return forward_count(&baselines::edge_parallel_forward_prepared);
-    case Algorithm::kBlocked: {
-      util::Timer timer;
-      RunResult out;
-      out.triangles =
-          baselines::blocked_tc_prepared(oriented(), graph::VertexId{1} << 14);
-      out.count_s = timer.elapsed_s();
-      if (trace != nullptr) trace->leaf("count", out.count_s);
-      return out;
-    }
-    case Algorithm::kEdgeIterator:
-    case Algorithm::kNodeIterator:
-    case Algorithm::kAyz:
-    case Algorithm::kSpGemmMasked:
+    case Algorithm::kBlocked:
+      return forward_count([](const graph::OrientedCsr& o) {
+        return baselines::blocked_tc_prepared(o, graph::VertexId{1} << 14);
+      });
+    default:  // edge/node iterator, AYZ, masked SpGEMM
       throw std::invalid_argument(name(algorithm) +
                                   " has no prepared artifact; run end-to-end");
   }
-  throw std::invalid_argument("unknown algorithm");
 }
 
 }  // namespace detail

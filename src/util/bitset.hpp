@@ -1,8 +1,9 @@
 // Flat dynamic bitset.
 //
-// Used by the Latapy-style bitmap intersection baseline and by tests. The
-// LOTUS H2H structure has its own triangular bit array (lotus/h2h_bitarray.hpp)
-// because its addressing scheme is part of the algorithm.
+// The dense per-vertex set of the Forward loop (kernels/forward.hpp) and a
+// test/bench fixture. The LOTUS H2H structure has its own triangular bit
+// array (lotus/h2h_bitarray.hpp) because its addressing scheme is part of the
+// algorithm.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,10 @@ class Bitset {
   [[nodiscard]] bool test(std::uint64_t i) const noexcept {
     return (words_[i >> 6] >> (i & 63)) & 1ULL;
   }
+
+  /// The backing words (bit i lives at data()[i >> 6] >> (i & 63)) — what
+  /// the dispatched hits_bitset kernel reads.
+  [[nodiscard]] const std::uint64_t* data() const noexcept { return words_.data(); }
 
   void reset() { std::fill(words_.begin(), words_.end(), 0); }
 

@@ -3,10 +3,11 @@
 // A CancelToken is flipped by any thread (cancel()) and observed inside the
 // parallel loops at chunk granularity (parallel/exec_context.hpp) and
 // between LOTUS phases; a Deadline is a fixed point in steady-clock time.
-// Both are *sticky*: once cancelled/expired they stay that way, which is
-// what makes the post-run status check in tc::query race-free —
-// any work that was skipped because of an interrupt is always visible to
-// the final check.
+// A Deadline is sticky (once expired it stays expired); a CancelToken is
+// not — reset() re-arms it, possibly while a run that already skipped work
+// is still finishing. The post-run status check in tc::query therefore
+// reads the interrupt the query's ExecContext latched on first sight
+// (parallel/exec_context.hpp), never the token's current flag.
 //
 // Thread-safety: CancelToken is fully thread-safe (single atomic flag).
 // Deadline is an immutable value after construction and safe to share.
@@ -30,7 +31,8 @@ class CancelToken {
     return cancelled_.load(std::memory_order_acquire);
   }
 
-  /// Re-arm for reuse between runs (not concurrently with a run).
+  /// Re-arm for reuse. Safe at any time: a run that already observed the
+  /// cancellation keeps reporting it through its latched ExecContext.
   void reset() noexcept { cancelled_.store(false, std::memory_order_release); }
 
  private:

@@ -14,7 +14,6 @@
 #include <omp.h>
 #endif
 
-#include "baselines/intersect.hpp"
 #include "baselines/matrix_tc.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
@@ -22,6 +21,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/oocore.hpp"
+#include "kernels/intersect.hpp"
 #include "lotus/count.hpp"
 #include "lotus/kclique.hpp"
 #include "lotus/lotus.hpp"
@@ -250,7 +250,7 @@ std::vector<DiffGraph> differential_corpus() {
 std::vector<DiffGraph> smoke_corpus() { return adversarial_graphs(); }
 
 std::vector<DiffPath> differential_paths() {
-  using baselines::NullProbe;
+  using kernels::NullProbe;
   std::vector<DiffPath> paths;
 
   // --- LOTUS family (honours the per-graph config).
@@ -286,36 +286,37 @@ std::vector<DiffPath> differential_paths() {
                      return baselines::forward_merge(graph).triangles;
                    }});
   paths.push_back({"forward_gallop", [](const auto& graph, const auto&) {
-                     return baselines::forward_gallop(graph).triangles;
+                     return baselines::forward(graph, kernels::strategy::kGallop).triangles;
                    }});
   paths.push_back({"forward_hashed", [](const auto& graph, const auto&) {
-                     return baselines::forward_hashed(graph).triangles;
+                     return baselines::forward(graph, kernels::strategy::kHashed).triangles;
                    }});
   paths.push_back({"forward_bitmap", [](const auto& graph, const auto&) {
-                     return baselines::forward_bitmap(graph).triangles;
+                     return baselines::forward(graph, kernels::strategy::kBitmap).triangles;
                    }});
   paths.push_back({"forward_simd", [](const auto& graph, const auto&) {
-                     return baselines::forward_simd(graph).triangles;
+                     return baselines::forward(graph, kernels::strategy::kSimd).triangles;
                    }});
   paths.push_back({"forward_hybrid", [](const auto& graph, const auto&) {
-                     return baselines::forward_hybrid(graph).triangles;
+                     return baselines::forward(graph, kernels::strategy::hybrid(64)).triangles;
                    }});
   paths.push_back({"forward_hybrid_all_dense", [](const auto& graph,
                                                   const auto&) {
                      const auto oriented = g::degree_ordered_oriented(graph);
-                     return baselines::forward_hybrid_prepared(oriented, 2);
+                     return baselines::forward_prepared(
+                         oriented, kernels::strategy::hybrid(2));
                    }});
   paths.push_back({"forward_merge_branchless",
                    [](const auto& graph, const auto&) {
                      return forward_with_kernel(graph, [](auto a, auto b) {
-                       return baselines::intersect_merge_branchless<g::VertexId>(
+                       return kernels::intersect_merge_branchless<g::VertexId>(
                            a, b);
                      });
                    }});
   paths.push_back({"forward_binary_branchfree",
                    [](const auto& graph, const auto&) {
                      return forward_with_kernel(graph, [](auto a, auto b) {
-                       return baselines::intersect_binary_branchfree<g::VertexId>(
+                       return kernels::intersect_binary_branchfree<g::VertexId>(
                            a, b);
                      });
                    }});

@@ -1,15 +1,11 @@
-// Graph algorithms substrate: BFS, connected components, PageRank, k-truss.
+// Graph algorithms substrate: BFS, connected components, k-truss.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <numeric>
-#include <queue>
+#include <vector>
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/components.hpp"
 #include "algorithms/ktruss.hpp"
-#include "algorithms/pagerank.hpp"
-#include "algorithms/sssp.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
@@ -90,94 +86,6 @@ TEST(Components, AgreesWithBfsReachability) {
     const bool same_component = cc.component[v] == cc.component[0];
     const bool reached = reach.distance[v] != alg::kUnreached;
     EXPECT_EQ(same_component, reached) << v;
-  }
-}
-
-// ---------- PageRank ----------
-
-TEST(PageRank, SumsToOne) {
-  const auto graph =
-      g::build_undirected(g::rmat({.scale = 10, .edge_factor = 8, .seed = 93}));
-  const auto r = alg::pagerank(graph);
-  const double sum = std::accumulate(r.rank.begin(), r.rank.end(), 0.0);
-  EXPECT_NEAR(sum, 1.0, 1e-6);
-  EXPECT_LT(r.final_delta, 1e-6);
-}
-
-TEST(PageRank, UniformOnRegularGraph) {
-  const auto graph = g::build_undirected(g::cycle(64));
-  const auto r = alg::pagerank(graph);
-  for (double rank : r.rank) EXPECT_NEAR(rank, 1.0 / 64, 1e-9);
-}
-
-TEST(PageRank, HubOutranksLeaves) {
-  const auto graph = g::build_undirected(g::star(50));
-  const auto r = alg::pagerank(graph);
-  for (g::VertexId v = 1; v < 50; ++v) EXPECT_GT(r.rank[0], r.rank[v]);
-}
-
-TEST(PageRank, HandlesDanglingVertices) {
-  const auto graph = g::build_undirected({3, {{0, 1}}});  // vertex 2 isolated
-  const auto r = alg::pagerank(graph);
-  const double sum = std::accumulate(r.rank.begin(), r.rank.end(), 0.0);
-  EXPECT_NEAR(sum, 1.0, 1e-6);
-}
-
-// ---------- SSSP ----------
-
-TEST(Sssp, SourceIsZeroAndUnreachedInfinite) {
-  const auto graph = g::build_undirected({5, {{0, 1}, {1, 2}}});
-  const auto r = alg::delta_stepping(graph, 0);
-  EXPECT_DOUBLE_EQ(r.distance[0], 0.0);
-  EXPECT_EQ(r.distance[3], alg::kInfiniteDistance);
-  EXPECT_EQ(r.distance[4], alg::kInfiniteDistance);
-}
-
-TEST(Sssp, MatchesDijkstraOnRandomGraph) {
-  const auto graph =
-      g::build_undirected(g::rmat({.scale = 9, .edge_factor = 6, .seed = 95}));
-  const auto r = alg::delta_stepping(graph, 0);
-
-  // Reference Dijkstra with the same synthetic weights.
-  std::vector<double> reference(graph.num_vertices(), alg::kInfiniteDistance);
-  reference[0] = 0.0;
-  using Entry = std::pair<double, g::VertexId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  heap.push({0.0, 0});
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (d > reference[v]) continue;
-    for (g::VertexId u : graph.neighbors(v)) {
-      const double candidate = d + alg::edge_weight(v, u);
-      if (candidate < reference[u]) {
-        reference[u] = candidate;
-        heap.push({candidate, u});
-      }
-    }
-  }
-  for (g::VertexId v = 0; v < graph.num_vertices(); ++v)
-    ASSERT_DOUBLE_EQ(r.distance[v], reference[v]) << v;
-}
-
-TEST(Sssp, WeightsAreSymmetricAndBounded) {
-  for (g::VertexId u = 0; u < 50; ++u)
-    for (g::VertexId v = u + 1; v < 50; v += 7) {
-      const double w = alg::edge_weight(u, v);
-      EXPECT_DOUBLE_EQ(w, alg::edge_weight(v, u));
-      EXPECT_GE(w, 1.0);
-      EXPECT_LT(w, 2.0);
-    }
-}
-
-TEST(Sssp, DistancesRespectTriangleInequalityOverBfs) {
-  // Weighted distance with weights in [1,2) is between 1x and 2x hop count.
-  const auto graph = g::build_undirected(g::cycle(30));
-  const auto weighted = alg::delta_stepping(graph, 0);
-  const auto hops = alg::bfs(graph, 0);
-  for (g::VertexId v = 0; v < 30; ++v) {
-    EXPECT_GE(weighted.distance[v], static_cast<double>(hops.distance[v]));
-    EXPECT_LE(weighted.distance[v], 2.0 * hops.distance[v] + 1e-9);
   }
 }
 

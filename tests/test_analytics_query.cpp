@@ -232,8 +232,16 @@ TEST(AnalyticsKClique, TriangleKindAndK3CliqueAgree) {
   EXPECT_EQ(run(tc::Algorithm::kForwardMerge, graph, request)
                 .result.analytics.count,
             expected);
-  EXPECT_EQ(run(tc::Algorithm::kForwardMerge, graph, {}).result.triangles,
-            expected);
+  // A triangle query reports its count in both fields, profiled or not.
+  const auto plain = run(tc::Algorithm::kForwardMerge, graph, {});
+  EXPECT_EQ(plain.result.triangles, expected);
+  EXPECT_EQ(plain.result.analytics.count, expected);
+  tc::QueryOptions profile;
+  profile.profile = true;
+  const auto profiled = run(tc::Algorithm::kLotus, graph, {}, profile);
+  EXPECT_EQ(profiled.result.analytics.count, expected);
+  ASSERT_TRUE(profiled.profile.has_value());
+  EXPECT_EQ(profiled.profile->result.analytics.count, expected);
 }
 
 // ---------- k-truss ---------------------------------------------------------
@@ -459,6 +467,7 @@ TEST(AnalyticsEngine, CrossAnalyticQueriesShareOneOrientedArtifact) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first.value().ok()) << first.value().status.to_string();
   EXPECT_EQ(first.value().result.triangles, expected);
+  EXPECT_EQ(first.value().result.analytics.count, expected);
   EXPECT_FALSE(first.value().cache_hit);
 
   // 2..4. Every other analytic on the same key must be a cache hit: the

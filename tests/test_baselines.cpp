@@ -25,9 +25,9 @@ struct NamedAlgorithm {
 std::vector<NamedAlgorithm> all_algorithms() {
   return {
       {"forward_merge", [](const g::CsrGraph& gr) { return b::forward_merge(gr).triangles; }},
-      {"forward_gallop", [](const g::CsrGraph& gr) { return b::forward_gallop(gr).triangles; }},
-      {"forward_hashed", [](const g::CsrGraph& gr) { return b::forward_hashed(gr).triangles; }},
-      {"forward_bitmap", [](const g::CsrGraph& gr) { return b::forward_bitmap(gr).triangles; }},
+      {"forward_gallop", [](const g::CsrGraph& gr) { return b::forward(gr, lotus::kernels::strategy::kGallop).triangles; }},
+      {"forward_hashed", [](const g::CsrGraph& gr) { return b::forward(gr, lotus::kernels::strategy::kHashed).triangles; }},
+      {"forward_bitmap", [](const g::CsrGraph& gr) { return b::forward(gr, lotus::kernels::strategy::kBitmap).triangles; }},
       {"edge_parallel", [](const g::CsrGraph& gr) { return b::edge_parallel_forward(gr).triangles; }},
       {"edge_iterator", [](const g::CsrGraph& gr) { return b::edge_iterator(gr).triangles; }},
       {"node_iterator", [](const g::CsrGraph& gr) { return b::node_iterator(gr).triangles; }},

@@ -6,13 +6,13 @@
 #include <set>
 #include <vector>
 
-#include "baselines/intersect.hpp"
+#include "kernels/intersect.hpp"
 #include "util/bitset.hpp"
 #include "util/prng.hpp"
 
 namespace {
 
-using namespace lotus::baselines;
+using namespace lotus::kernels;
 using lotus::util::Bitset;
 using lotus::util::Xoshiro256;
 

@@ -10,14 +10,12 @@
 #include <span>
 #include <vector>
 
-#include "baselines/intersect.hpp"
-#include "baselines/simd_intersect.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
 #include "kernels/dispatch.hpp"
-#include "kernels/hybrid.hpp"
+#include "kernels/forward.hpp"
 #include "kernels/intersect.hpp"
 #include "kernels/isa.hpp"
 #include "tc/api.hpp"
@@ -312,43 +310,170 @@ TEST(KernelIntersect, DispatchedProbedAndScalarPathsAgree) {
     const std::span<const std::uint32_t> sa(a), sb(b);
     const std::uint64_t dispatched = k::intersect<std::uint32_t>(sa, sb);
     const std::uint64_t scalar = k::intersect<std::uint32_t>(
-        sa, sb, lotus::baselines::null_probe, /*vectorize=*/false);
-    lotus::baselines::NullProbe probe;  // distinct type value, same semantics
+        sa, sb, k::null_probe, /*vectorize=*/false);
+    k::NullProbe probe;  // distinct type value, same semantics
     const std::uint64_t reference =
-        lotus::baselines::intersect_merge<std::uint32_t>(sa, sb, probe);
+        k::intersect_merge<std::uint32_t>(sa, sb, probe);
     EXPECT_EQ(dispatched, reference);
     EXPECT_EQ(scalar, reference);
   }
 }
 
-TEST(KernelIntersect, SimdVeneerMatchesKernelLayer) {
+// A probe that is not NullProbe: forces the scalar mirrors and counts reads.
+struct CountingProbe {
+  std::uint64_t reads = 0;
+  void read(const void*, std::size_t) noexcept { ++reads; }
+  void branch(std::uint64_t, bool) noexcept {}
+  void op(std::uint64_t = 1) noexcept {}
+};
+
+TEST(KernelIntersect, DispatchedU16AndU32MatchScalarMirror) {
   lotus::util::Xoshiro256 rng(6);
   const auto a = sorted_unique<std::uint32_t>(rng, 100, 500);
   const auto b = sorted_unique<std::uint32_t>(rng, 60, 500);
-  EXPECT_EQ(lotus::baselines::intersect_simd(a, b),
-            lotus::baselines::intersect_merge<std::uint32_t>(a, b));
-  std::vector<std::uint16_t> a16(a.begin(), a.end()), b16(b.begin(), b.end());
-  EXPECT_EQ(lotus::baselines::intersect_simd16(a16, b16),
-            lotus::baselines::intersect_merge<std::uint16_t>(a16, b16));
-  // The probed overloads (scalar mirrors) agree too.
-  lotus::baselines::NullProbe probe;
-  EXPECT_EQ(lotus::baselines::intersect_simd(a, b, probe),
-            lotus::baselines::intersect_simd(a, b));
-  EXPECT_EQ(lotus::baselines::intersect_simd16(a16, b16, probe),
-            lotus::baselines::intersect_simd16(a16, b16));
+  const std::vector<std::uint16_t> a16(a.begin(), a.end()), b16(b.begin(), b.end());
+  const std::uint64_t expected = k::intersect_merge<std::uint32_t>(a, b);
+  CountingProbe probe;
+  EXPECT_EQ(k::intersect<std::uint32_t>(a, b), expected);
+  EXPECT_EQ(k::intersect<std::uint16_t>(a16, b16), expected);
+  EXPECT_EQ(k::intersect<std::uint32_t>(a, b, probe), expected);
+  EXPECT_EQ(k::intersect<std::uint16_t>(a16, b16, probe), expected);
+  EXPECT_GT(probe.reads, 0u);  // the probed calls replayed the scalar stream
 }
 
-// --- hybrid kernel --------------------------------------------------------
+// --- dispatched intersection: list shapes that stress the block kernels ---
+
+template <typename T>
+void check_dispatched_all_tiers(const std::vector<T>& a, const std::vector<T>& b) {
+  const std::uint64_t expected = k::intersect_merge<T>(a, b);
+  for (const k::Isa isa : kAllTiers) {
+    ScopedIsa forced(isa);
+    EXPECT_EQ(k::intersect<T>(a, b), expected)
+        << k::isa_name(isa) << " |a|=" << a.size() << " |b|=" << b.size();
+  }
+}
+
+TEST(SimdIntersect, TinyListsUseTailPath) {
+  check_dispatched_all_tiers<std::uint32_t>({1, 5, 9}, {5, 9, 11});
+}
+
+TEST(SimdIntersect, EmptyInputs) {
+  check_dispatched_all_tiers<std::uint32_t>({}, {1, 2, 3});
+  check_dispatched_all_tiers<std::uint32_t>({1, 2, 3}, {});
+}
+
+TEST(SimdIntersect, ExactBlockMultiples) {
+  std::vector<std::uint32_t> a(32), b(32);
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    a[i] = 2 * i;  // evens
+    b[i] = 3 * i;  // multiples of 3
+  }
+  // Common: multiples of 6 below min(62, 93): 0, 6, ..., 60 -> 11 values.
+  EXPECT_EQ(k::intersect<std::uint32_t>(a, b), 11u);
+  check_dispatched_all_tiers(a, b);
+}
+
+TEST(SimdIntersect, MatchesAcrossBlockBoundaries) {
+  // One common element at every offset relative to the lane blocks of both
+  // lists.
+  for (std::uint32_t pos_a = 0; pos_a < 20; ++pos_a)
+    for (std::uint32_t pos_b = 0; pos_b < 20; ++pos_b) {
+      std::vector<std::uint32_t> a(20), b(20);
+      for (std::uint32_t i = 0; i < 20; ++i) {
+        a[i] = 10 * i + 1;
+        b[i] = 10 * i + 2;
+      }
+      a[pos_a] = 10 * pos_a + 5;
+      b[pos_b] = 10 * pos_b + 5;
+      check_dispatched_all_tiers(a, b);
+    }
+}
+
+TEST(SimdIntersect, RandomizedAgreementWithMerge) {
+  lotus::util::Xoshiro256 rng(2024);
+  for (int round = 0; round < 50; ++round) {
+    const auto universe = 100 + rng.next_below(1000);
+    const auto a = sorted_unique<std::uint32_t>(
+        rng, std::min<std::size_t>(1 + rng.next_below(300), universe / 2), universe);
+    const auto b = sorted_unique<std::uint32_t>(
+        rng, std::min<std::size_t>(1 + rng.next_below(300), universe / 2), universe);
+    check_dispatched_all_tiers(a, b);
+  }
+}
+
+TEST(SimdIntersect, IdenticalLargeLists) {
+  std::vector<std::uint32_t> a(1000);
+  for (std::uint32_t i = 0; i < 1000; ++i) a[i] = i * 7 + 3;
+  EXPECT_EQ(k::intersect<std::uint32_t>(a, a), 1000u);
+  check_dispatched_all_tiers(a, a);
+}
+
+TEST(SimdIntersect, AvailabilityIsStable) {
+  EXPECT_EQ(k::active_isa(), k::active_isa());
+  EXPECT_EQ(k::kernel_table().isa, k::active_isa());
+}
+
+TEST(SimdIntersect16, TinyAndEmpty) {
+  check_dispatched_all_tiers<std::uint16_t>({1, 5, 9}, {5, 9, 11});
+  check_dispatched_all_tiers<std::uint16_t>({}, {5, 9, 11});
+  check_dispatched_all_tiers<std::uint16_t>({1, 5, 9}, {});
+}
+
+TEST(SimdIntersect16, FullBlocksWithKnownOverlap) {
+  std::vector<std::uint16_t> a(64), b(64);
+  for (std::uint16_t i = 0; i < 64; ++i) {
+    a[i] = static_cast<std::uint16_t>(2 * i);  // evens 0..126
+    b[i] = static_cast<std::uint16_t>(3 * i);  // multiples of 3, 0..189
+  }
+  // Common: multiples of 6 up to min(126, 189) -> 0, 6, ..., 126: 22 values.
+  EXPECT_EQ(k::intersect<std::uint16_t>(a, b), 22u);
+  check_dispatched_all_tiers(a, b);
+}
+
+TEST(SimdIntersect16, MatchAtEveryRotationOffset) {
+  // One common element at every relative lane offset within 16-lane blocks.
+  for (std::uint32_t pos_a = 0; pos_a < 16; ++pos_a)
+    for (std::uint32_t pos_b = 0; pos_b < 16; ++pos_b) {
+      std::vector<std::uint16_t> a(16), b(16);
+      for (std::uint16_t i = 0; i < 16; ++i) {
+        a[i] = static_cast<std::uint16_t>(100 * i + 1);
+        b[i] = static_cast<std::uint16_t>(100 * i + 2);
+      }
+      a[pos_a] = static_cast<std::uint16_t>(100 * pos_a + 50);
+      b[pos_b] = static_cast<std::uint16_t>(100 * pos_b + 50);
+      check_dispatched_all_tiers(a, b);
+    }
+}
+
+TEST(SimdIntersect16, RandomizedAgreementWithMerge) {
+  lotus::util::Xoshiro256 rng(4048);
+  for (int round = 0; round < 50; ++round) {
+    const auto a = sorted_unique<std::uint16_t>(rng, 1 + rng.next_below(400), 2000);
+    const auto b = sorted_unique<std::uint16_t>(rng, 1 + rng.next_below(400), 2000);
+    check_dispatched_all_tiers(a, b);
+  }
+}
+
+TEST(SimdIntersect16, MaxValueIds) {
+  // 16-bit boundary values (the largest hub IDs LOTUS can store in HE).
+  const std::vector<std::uint16_t> a = {65530, 65533, 65535};
+  const std::vector<std::uint16_t> b = {65531, 65533, 65535};
+  EXPECT_EQ(k::intersect<std::uint16_t>(a, b), 2u);
+  check_dispatched_all_tiers(a, b);
+}
+
+// --- the Forward loop -----------------------------------------------------
 
 TEST(KernelHybrid, ThresholdSweepMatchesForwardMerge) {
   const auto graph =
       g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 77}));
   const auto oriented = g::degree_ordered_oriented(graph);
   const std::uint64_t expected =
-      lotus::baselines::forward_merge_prepared(oriented);
+      lotus::baselines::forward_prepared(oriented, k::strategy::kMerge);
   // 1 = every countable vertex dense, huge = pure merge, and the default.
   for (const std::uint32_t threshold : {1u, 2u, 8u, 64u, 1u << 30}) {
-    EXPECT_EQ(lotus::baselines::forward_hybrid_prepared(oriented, threshold),
+    EXPECT_EQ(lotus::baselines::forward_prepared(
+                  oriented, k::strategy::hybrid(threshold)),
               expected)
         << "threshold=" << threshold;
   }
@@ -361,9 +486,35 @@ TEST(KernelHybrid, AllTiersAgreeOnGraph) {
   const std::uint64_t expected = lotus::baselines::brute_force(graph);
   for (const k::Isa isa : kAllTiers) {
     ScopedIsa forced(isa);
-    EXPECT_EQ(lotus::baselines::forward_hybrid_prepared(oriented, 8), expected)
+    EXPECT_EQ(lotus::baselines::forward_prepared(oriented, k::strategy::hybrid(8)),
+              expected)
         << k::isa_name(isa);
   }
+}
+
+TEST(KernelForward, EveryStrategyCountsEveryTriangle) {
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 79}));
+  const auto oriented = g::degree_ordered_oriented(graph);
+  const auto neighbors = [&](std::uint32_t v) { return oriented.neighbors(v); };
+  const std::uint64_t expected = lotus::baselines::brute_force(graph);
+  for (const auto sparse : {k::SparseKernel::kMerge, k::SparseKernel::kGallop,
+                            k::SparseKernel::kDispatched})
+    for (const auto dense :
+         {k::DenseSet::kNone, k::DenseSet::kHashed, k::DenseSet::kBitmap})
+      for (const std::uint32_t threshold : {2u, 16u, k::kNeverDense}) {
+        const k::IntersectStrategy strategy{sparse, dense, threshold};
+        EXPECT_EQ(k::forward_count(oriented.num_vertices(), neighbors, strategy),
+                  expected)
+            << static_cast<int>(sparse) << "/" << static_cast<int>(dense) << "@"
+            << threshold;
+        // A probed pass replays the scalar mirrors serially, same count.
+        CountingProbe probe;
+        EXPECT_EQ(k::forward_count(oriented.num_vertices(), neighbors, strategy,
+                                   probe),
+                  expected);
+        EXPECT_GT(probe.reads, 0u);
+      }
 }
 
 // --- graph-level tier invariance ------------------------------------------

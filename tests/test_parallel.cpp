@@ -1,11 +1,12 @@
 // Unit tests for the parallel runtime: pool fork-join, parallel_for/reduce,
-// and the work-stealing task scheduler.
+// the work-stealing task scheduler, and the interrupt latch of ExecContext.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <numeric>
 
+#include "parallel/exec_context.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/fault.hpp"
@@ -14,6 +15,24 @@ namespace {
 
 using lotus::parallel::ThreadPool;
 using lotus::parallel::WorkStealingScheduler;
+
+TEST(ExecContext, LatchesTheFirstInterruptAcrossATokenReset) {
+  // A re-armed token must not hide a cancellation the run already acted on:
+  // the post-run check reads the latch, not the token's current flag.
+  lotus::util::CancelToken token;
+  lotus::parallel::ExecContext ctx;
+  ctx.cancel = &token;
+  lotus::parallel::ScopedExecContext scoped(&ctx);
+  EXPECT_EQ(lotus::parallel::check_interrupt(), lotus::parallel::Interrupt::kNone);
+  token.cancel();
+  EXPECT_EQ(lotus::parallel::check_interrupt(),
+            lotus::parallel::Interrupt::kCancelled);
+  token.reset();
+  EXPECT_EQ(lotus::parallel::check_interrupt(),
+            lotus::parallel::Interrupt::kCancelled);
+  EXPECT_EQ(lotus::parallel::check_interrupt(&ctx),
+            lotus::parallel::Interrupt::kCancelled);
+}
 
 TEST(ThreadPool, ExecuteRunsOncePerThread) {
   ThreadPool pool(4);
