@@ -17,7 +17,9 @@
 #      (src/util/checksum.hpp, LOTUS-FOOTER-INVENTORY block) must be
 #      documented in docs/OUT_OF_CORE.md;
 #   8. every analytic kind (src/tc/api.hpp, LOTUS-ANALYTIC-INVENTORY block)
-#      must be documented in docs/API.md.
+#      must be documented in docs/API.md;
+#   9. every algorithm name (src/tc/api.cpp, kAlgorithmTable) must have a row
+#      in the name -> artifact table of docs/API.md.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -153,6 +155,23 @@ fi
 for analytic_name in $analytic_names; do
   if ! grep -q "\`$analytic_name\`" docs/API.md 2>/dev/null; then
     echo "check_docs: analytic '$analytic_name' (src/tc/api.hpp) is not documented in docs/API.md" >&2
+    status=1
+  fi
+done
+
+# --- 9. algorithm table vs docs/API.md name -> artifact table --------------
+# kAlgorithmTable in src/tc/api.cpp is the one name -> algorithm map; every
+# name in it needs a row "| `name` | `<artifact>` ..." in the API guide,
+# where <artifact> is an artifact_kind_name (oriented, lotus or none).
+algorithm_names=$(sed -n '/kAlgorithmTable\[\] = {/,/^};/p' src/tc/api.cpp |
+                    grep -o '"[a-z0-9-]*"' | tr -d '"')
+if [ -z "$algorithm_names" ]; then
+  echo "check_docs: no kAlgorithmTable found in src/tc/api.cpp" >&2
+  status=1
+fi
+for algorithm_name in $algorithm_names; do
+  if ! grep -Eq "^\| \`$algorithm_name\` \| \`(oriented|lotus|none)\`" docs/API.md 2>/dev/null; then
+    echo "check_docs: algorithm '$algorithm_name' (src/tc/api.cpp) has no row in the name -> artifact table of docs/API.md" >&2
     status=1
   fi
 done

@@ -2,14 +2,13 @@
 
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 
 #include "baselines/matrix_tc.hpp"
 #include "baselines/tc_baselines.hpp"
-#include "graph/degree_order.hpp"
 #include "kernels/forward.hpp"
 #include "lotus/adaptive.hpp"
-#include "lotus/lotus.hpp"
-#include "lotus/lotus_graph.hpp"
 #include "parallel/exec_context.hpp"
 #include "parallel/thread_pool.hpp"
 #include "obs/telemetry.hpp"
@@ -52,30 +51,6 @@ constexpr AlgorithmName kAlgorithmTable[] = {
     {Algorithm::kSpGemmMasked, "spgemm-masked"},
 };
 
-RunResult from_baseline(const baselines::TcResult& r) {
-  RunResult out;
-  out.triangles = r.triangles;
-  out.preprocess_s = r.preprocess_s;
-  out.count_s = r.count_s;
-  return out;
-}
-
-// Record the coarse two-phase timing of an already-finished run as leaf
-// spans, so every algorithm produces a span tree even without fine tracing.
-void leaf_spans(obs::PhaseTracer& trace, const RunResult& r) {
-  if (r.preprocess_s > 0.0) trace.leaf("preprocess", r.preprocess_s);
-  trace.leaf("count", r.count_s);
-}
-
-// Value of a note key anywhere in the span tree ("" if absent) — used to
-// recover the adaptive fallback's decision after the fact.
-std::string find_note(const obs::PhaseTracer& trace, std::string_view key) {
-  for (const auto& span : trace.spans())
-    for (const auto& [k, v] : span.notes)
-      if (k == key) return v;
-  return {};
-}
-
 util::Status interrupt_status(parallel::Interrupt interrupt) {
   return interrupt == parallel::Interrupt::kCancelled
              ? util::Status{util::StatusCode::kCancelled,
@@ -84,98 +59,95 @@ util::Status interrupt_status(parallel::Interrupt interrupt) {
                             "QueryOptions::deadline expired before completion"};
 }
 
+std::uint64_t to_ns(double seconds) {
+  return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9) : 0;
+}
+
 // Algorithms whose scratch/topology allocations a memory budget can veto —
 // LOTUS and every Forward strategy with a dense side; all of them degrade
-// to the scratch-free gap-forward merge kernel.
+// to the scratch-free gap-forward merge kernel. Asked of the resolved
+// algorithm, so adaptive degrades exactly when it runs LOTUS.
 bool budget_degradable(Algorithm algorithm) {
-  if (algorithm == Algorithm::kLotus || algorithm == Algorithm::kAdaptive)
-    return true;
+  if (algorithm == Algorithm::kLotus) return true;
   const kernels::IntersectStrategy* strategy = detail::forward_strategy(algorithm);
   return strategy != nullptr && strategy->dense != kernels::DenseSet::kNone;
 }
 
-// One end-to-end (or prepared) execution of the query's analytic, optionally
-// traced. Exceptions propagate to the caller — the retry/status policy lives
-// in execute_query. Non-triangle analytics route to the mining-engine layer
-// (analytics_exec.cpp); the TC path below is unchanged.
-RunResult execute_once(Algorithm algorithm, const graph::CsrGraph& graph,
-                       const QueryOptions& options,
-                       const PreparedGraph* prepared, obs::PhaseTracer* trace) {
-  if (options.analytic.kind != AnalyticKind::kTriangles)
-    return detail::run_analytic(algorithm, graph, options, prepared, trace);
-  const core::LotusConfig& config = options.config;
-  if (prepared != nullptr)
-    return detail::run_prepared_kernel(algorithm, *prepared, config, trace);
-  if (const kernels::IntersectStrategy* strategy =
-          detail::forward_strategy(algorithm)) {
-    const RunResult out = from_baseline(baselines::forward(graph, *strategy));
-    if (trace != nullptr) leaf_spans(*trace, out);
-    return out;
-  }
+// The algorithms with no artifact (artifact_kind kNone): their
+// preprocessing is inseparable from counting, so they run end-to-end and
+// report their coarse two-phase timing as leaf spans.
+RunResult run_end_to_end(Algorithm algorithm, const graph::CsrGraph& graph,
+                         obs::PhaseTracer* trace) {
+  util::Timer timer;
+  baselines::TcResult r;
   switch (algorithm) {
-    case Algorithm::kLotus: {
-      const core::LotusResult r = core::count_triangles(graph, config, trace);
-      RunResult out;
-      out.triangles = r.triangles;
-      out.preprocess_s = r.preprocess_s;
-      out.count_s = r.count_s();
-      return out;
-    }
-    case Algorithm::kAdaptive: {
-      const core::AdaptiveResult r = core::adaptive_count(graph, config);
-      RunResult out;
-      out.triangles = r.triangles;
-      out.preprocess_s = r.preprocess_s;
-      out.count_s = r.count_s;
-      if (trace != nullptr) {
-        leaf_spans(*trace, out);
-        trace->note("chosen_algorithm",
-                    r.algorithm == core::ChosenAlgorithm::kLotus ? "lotus"
-                                                                 : "forward");
-      }
-      return out;
-    }
-    case Algorithm::kEdgeParallel:
-    case Algorithm::kEdgeIterator:
-    case Algorithm::kNodeIterator:
-    case Algorithm::kBlocked: {
-      baselines::TcResult r;
-      switch (algorithm) {
-        case Algorithm::kEdgeParallel:
-          r = baselines::edge_parallel_forward(graph);
-          break;
-        case Algorithm::kEdgeIterator: r = baselines::edge_iterator(graph); break;
-        case Algorithm::kNodeIterator: r = baselines::node_iterator(graph); break;
-        default: r = baselines::blocked_tc(graph); break;
-      }
-      const RunResult out = from_baseline(r);
-      if (trace != nullptr) leaf_spans(*trace, out);
-      return out;
-    }
+    case Algorithm::kEdgeIterator: r = baselines::edge_iterator(graph); break;
+    case Algorithm::kNodeIterator: r = baselines::node_iterator(graph); break;
     case Algorithm::kAyz:
-    case Algorithm::kSpGemmMasked: {
-      util::Timer timer;
+    case Algorithm::kSpGemmMasked:
+      r.triangles = algorithm == Algorithm::kAyz
+                        ? baselines::ayz_tc(graph)
+                        : baselines::spgemm_masked_tc(graph);
+      r.count_s = timer.elapsed_s();
+      break;
+    default:
+      throw std::logic_error(name(algorithm) + " counts on a prepared artifact");
+  }
+  RunResult out;
+  out.triangles = r.triangles;
+  out.preprocess_s = r.preprocess_s;
+  out.count_s = r.count_s;
+  if (trace != nullptr) {
+    if (out.preprocess_s > 0.0) trace->leaf("preprocess", out.preprocess_s);
+    trace->leaf("count", out.count_s);
+  }
+  return out;
+}
+
+// One execution of the query's analytic on the resolved algorithm, traced
+// when `trace` is non-null. Every algorithm with an artifact counts on a
+// PreparedGraph: `prepared` when the caller has one, otherwise one built
+// into `built` (its build time lands in preprocess_s). Exceptions propagate
+// to the caller — the retry/status policy lives in execute_query.
+RunResult execute_once(Algorithm resolved, const graph::CsrGraph& graph,
+                       const QueryOptions& options,
+                       const PreparedGraph* prepared,
+                       std::optional<PreparedGraph>& built,
+                       obs::PhaseTracer* trace) {
+  const ArtifactKind kind = artifact_kind(resolved, options.analytic.kind);
+  if (kind == ArtifactKind::kNone)
+    return run_end_to_end(resolved, graph, trace);
+  double build_s = 0.0;
+  if (prepared == nullptr) {
+    prepared = &built.emplace(
+        PreparedGraph::build(kind, graph, options.config, trace));
+    build_s = prepared->build_s();
+    // An interrupt during preprocessing skips the count; execute_query
+    // turns the latched interrupt into the query's status.
+    if (parallel::interrupted()) {
       RunResult out;
-      out.triangles = algorithm == Algorithm::kAyz
-                          ? baselines::ayz_tc(graph)
-                          : baselines::spgemm_masked_tc(graph);
-      out.count_s = timer.elapsed_s();
-      if (trace != nullptr) leaf_spans(*trace, out);
+      out.preprocess_s = build_s;
       return out;
     }
-    default:  // the Forward family, dispatched above
-      break;
   }
-  return {};
+  RunResult out =
+      options.analytic.kind == AnalyticKind::kTriangles
+          ? detail::run_prepared_kernel(resolved, *prepared, options.config,
+                                        trace)
+          : detail::run_analytic(resolved, graph, options, *prepared, trace);
+  out.preprocess_s += build_s;
+  return out;
 }
 
 // `--events sim`: replay the already-finished run single-threaded through the
-// simcache model and graft the modeled per-phase event deltas onto the span
-// tree. The replay re-executes the counting kernels (not preprocessing), so
-// only count-side spans receive events. Supported for the algorithms that
-// have instrumented replays (lotus, adaptive, gap-forward); everything else
-// reports zero events with an explanatory note.
-void attribute_simulated(ProfileReport& report, const graph::CsrGraph& graph,
+// simcache model, over the artifact it counted on, and graft the modeled
+// per-phase event deltas onto the span tree. The replay re-executes the
+// counting kernels (not preprocessing), so only count-side spans receive
+// events. Supported for the resolved algorithms that have instrumented
+// replays (lotus, gap-forward), whose artifact carries the section they
+// counted on; everything else reports zero events with an explanatory note.
+void attribute_simulated(ProfileReport& report, Algorithm resolved,
+                         const PreparedGraph* artifact,
                          const core::LotusConfig& config,
                          std::uint32_t sim_cache_scale) {
   const simcache::MachineConfig machine =
@@ -184,56 +156,38 @@ void attribute_simulated(ProfileReport& report, const graph::CsrGraph& graph,
   report.event_source = obs::EventSource::kSimulated;
   report.event_backend = sim.backend();
 
-  Algorithm replayed = report.algorithm;
-  if (report.algorithm == Algorithm::kAdaptive)
-    replayed = find_note(report.trace, "chosen_algorithm") == "forward"
-                   ? Algorithm::kForwardMerge
-                   : Algorithm::kLotus;
-
   std::uint64_t replay_triangles = 0;
-  switch (replayed) {
-    case Algorithm::kLotus: {
-      const core::LotusGraph lg = core::LotusGraph::build(graph, config);
-      const SampledLotusReplay replay =
-          replay_lotus_sampled(lg, config, sim.model());
-      replay_triangles = replay.triangles;
-      const obs::EventCounts hub = simcache::to_event_counts(replay.after_hub);
-      const obs::EventCounts hnn = simcache::to_event_counts(replay.after_hnn);
-      const obs::EventCounts nnn = simcache::to_event_counts(replay.after_nnn);
-      report.events = nnn;  // cumulative after the last phase = run total
-      if (report.algorithm == Algorithm::kAdaptive) {
-        // Adaptive exposes only coarse leaf spans; graft the total.
-        report.trace.set_events("count", nnn);
-      } else {
-        report.trace.set_events("count", nnn);
-        report.trace.set_events("hhh_hhn", hub);
-        if (config.fuse_hnn_nnn) {
-          report.trace.set_events("hnn_nnn_fused", nnn - hub);
-        } else {
-          report.trace.set_events("hnn", hnn - hub);
-          report.trace.set_events("nnn", nnn - hnn);
-        }
-      }
-      report.event_note =
-          "events modeled by single-threaded simcache replay of the counting "
-          "phases; preprocess spans carry no events";
-      break;
+  if (resolved == Algorithm::kLotus) {
+    const SampledLotusReplay replay =
+        replay_lotus_sampled(*artifact->lotus(), config, sim.model());
+    replay_triangles = replay.triangles;
+    const obs::EventCounts hub = simcache::to_event_counts(replay.after_hub);
+    const obs::EventCounts hnn = simcache::to_event_counts(replay.after_hnn);
+    const obs::EventCounts nnn = simcache::to_event_counts(replay.after_nnn);
+    report.events = nnn;  // cumulative after the last phase = run total
+    report.trace.set_events("count", nnn);
+    report.trace.set_events("hhh_hhn", hub);
+    if (config.fuse_hnn_nnn) {
+      report.trace.set_events("hnn_nnn_fused", nnn - hub);
+    } else {
+      report.trace.set_events("hnn", hnn - hub);
+      report.trace.set_events("nnn", nnn - hnn);
     }
-    case Algorithm::kForwardMerge: {
-      const graph::OrientedCsr oriented = graph::degree_ordered_oriented(graph);
-      replay_triangles = replay_forward(oriented, sim.model());
-      report.events = sim.read();
-      report.trace.set_events("count", report.events);
-      report.event_note =
-          "events modeled by single-threaded simcache replay of the counting "
-          "phase; preprocess spans carry no events";
-      break;
-    }
-    default:
-      report.events = obs::EventCounts{};
-      report.event_note = "no instrumented replay for " + name(report.algorithm) +
-                          "; simulated events are zero";
-      return;
+    report.event_note =
+        "events modeled by single-threaded simcache replay of the counting "
+        "phases; preprocess spans carry no events";
+  } else if (resolved == Algorithm::kForwardMerge) {
+    replay_triangles = replay_forward(*artifact->oriented(), sim.model());
+    report.events = sim.read();
+    report.trace.set_events("count", report.events);
+    report.event_note =
+        "events modeled by single-threaded simcache replay of the counting "
+        "phase; preprocess spans carry no events";
+  } else {
+    report.events = obs::EventCounts{};
+    report.event_note = "no instrumented replay for " + name(report.algorithm) +
+                        "; simulated events are zero";
+    return;
   }
   if (replay_triangles != report.result.triangles)
     report.event_note += "; replay count mismatch (replay " +
@@ -261,12 +215,16 @@ struct PoolObsGuard {
   parallel::ThreadPool& pool_;
 };
 
-// One profiled execution: span tree, query-scoped counters, optional
-// hardware/simulated events and scheduler timeline. Exceptions propagate.
-ProfileReport profiled_once(Algorithm algorithm, const graph::CsrGraph& graph,
-                            const QueryOptions& options,
-                            const PreparedGraph* prepared) {
-  ProfileReport report;
+// execute_once under observation: fills `report` with the span tree,
+// query-scoped counters, optional hardware/simulated events and scheduler
+// timeline, labelled with the requested `algorithm`. Returns the run's
+// result. Exceptions propagate.
+RunResult profiled_once(Algorithm algorithm, Algorithm resolved,
+                        const graph::CsrGraph& graph,
+                        const QueryOptions& options,
+                        const PreparedGraph* prepared,
+                        std::optional<PreparedGraph>& built,
+                        ProfileReport& report) {
   report.algorithm = algorithm;
   report.vertices = graph.num_vertices();
   report.edges = graph.num_edges() / 2;
@@ -304,8 +262,11 @@ ProfileReport profiled_once(Algorithm algorithm, const graph::CsrGraph& graph,
     PoolObsGuard pool_obs(pool, &domain,
                           options.capture_sched_events ? &sched_log : nullptr);
     report.result =
-        execute_once(algorithm, graph, options, prepared, &report.trace);
+        execute_once(resolved, graph, options, prepared, built, &report.trace);
   }
+  if (algorithm == Algorithm::kAdaptive)
+    report.trace.note("chosen_algorithm",
+                      resolved == Algorithm::kLotus ? "lotus" : "forward");
   if (options.capture_sched_events) report.sched_events = sched_log.events();
 
   report.counters = domain.snapshot();
@@ -326,13 +287,14 @@ ProfileReport profiled_once(Algorithm algorithm, const graph::CsrGraph& graph,
                           "; simulated events are zero";
     } else {
       const std::string degradation_note = report.event_note;
-      attribute_simulated(report, graph, options.config,
-                          options.sim_cache_scale);
+      attribute_simulated(report, resolved,
+                          built.has_value() ? &*built : prepared,
+                          options.config, options.sim_cache_scale);
       if (!degradation_note.empty())
         report.event_note = degradation_note + "; " + report.event_note;
     }
   }
-  return report;
+  return report.result;
 }
 
 }  // namespace
@@ -346,7 +308,14 @@ const kernels::IntersectStrategy* forward_strategy(Algorithm algorithm) {
   return nullptr;
 }
 
-QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
+Algorithm resolve(Algorithm algorithm, const graph::CsrGraph& graph) {
+  if (algorithm != Algorithm::kAdaptive) return algorithm;
+  return core::should_use_lotus(graph) ? Algorithm::kLotus
+                                       : Algorithm::kForwardMerge;
+}
+
+QueryResult execute_query(Algorithm algorithm, Algorithm resolved,
+                          const graph::CsrGraph& graph,
                           const QueryOptions& options,
                           const PreparedGraph* prepared) {
   QueryResult out;
@@ -392,71 +361,55 @@ QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
     return out;
   }
 
-  // A triangle query's analytic count is its triangle count.
-  const auto stamp_triangle_count = [&](RunResult& r) {
-    if (options.analytic.kind == AnalyticKind::kTriangles)
-      r.analytics.count = r.triangles;
-  };
-
+  // `active` labels the result: the requested algorithm, or gap-forward
+  // after a budget fallback.
   Algorithm active = algorithm;
   for (int attempt = 0;; ++attempt) {
     try {
-      if (options.profile) {
-        ProfileReport report = profiled_once(active, graph, options, prepared);
-        stamp_triangle_count(report.result);
-        // The context latched the first interrupt any poll saw: a chunk or
-        // phase the run skipped is still visible here, so a partial count
-        // can never escape as valid.
-        if (const auto i = parallel::check_interrupt();
-            i != parallel::Interrupt::kNone) {
-          report.status = interrupt_status(i);
-          report.result.clear_payload();
-        }
-        out.algorithm = active;
-        out.result = report.result;
-        out.status = report.status;
-        out.profile = std::move(report);
-      } else {
-        RunResult result =
-            execute_once(active, graph, options, prepared, nullptr);
-        stamp_triangle_count(result);
-        if (const auto i = parallel::check_interrupt();
-            i != parallel::Interrupt::kNone) {
-          out.status = interrupt_status(i);
-        } else {
-          out.algorithm = active;
-          out.result = result;
-        }
+      std::optional<PreparedGraph> built;
+      RunResult result =
+          options.profile
+              ? profiled_once(active, resolved, graph, options, prepared,
+                              built, out.profile.emplace())
+              : execute_once(resolved, graph, options, prepared, built,
+                             nullptr);
+      // A triangle query's analytic count is its triangle count.
+      if (options.analytic.kind == AnalyticKind::kTriangles)
+        result.analytics.count = result.triangles;
+      // The context latched the first interrupt any poll saw: a chunk or
+      // phase the run skipped is still visible here, so a partial count
+      // can never escape as valid.
+      if (const auto i = parallel::check_interrupt();
+          i != parallel::Interrupt::kNone) {
+        out.status = interrupt_status(i);
+        result.clear_payload();
       }
+      out.algorithm = active;
+      out.result = std::move(result);
       break;
     } catch (const std::bad_alloc& e) {  // includes util::BudgetError
       if (attempt == 0 && options.allow_degradation &&
-          budget_degradable(active)) {
+          budget_degradable(resolved)) {
         out.degradations.push_back({name(active),
                                     "fallback=" + name(Algorithm::kForwardMerge),
                                     e.what()});
         budget.reset_used();  // the failed attempt's charges are released
-        active = Algorithm::kForwardMerge;
-        // Prepared artifacts belong to the vetoed algorithm; the fallback
-        // runs end-to-end (gap-forward preprocessing is cheap and
+        active = resolved = Algorithm::kForwardMerge;
+        // A supplied artifact belongs to the vetoed algorithm; the fallback
+        // builds its own (gap-forward preprocessing is cheap and
         // scratch-free).
         prepared = nullptr;
         continue;
       }
       out.status = {util::StatusCode::kOutOfMemory, e.what()};
-      if (options.profile) {
-        out.profile.emplace();
-        fill_identity(*out.profile, active);
-      }
-      break;
     } catch (...) {
       out.status = util::status_from_current_exception();
-      if (options.profile) {
-        out.profile.emplace();
-        fill_identity(*out.profile, active);
-      }
-      break;
     }
+    if (options.profile) {
+      out.profile.emplace();
+      fill_identity(*out.profile, active);
+    }
+    break;
   }
 
   if (out.profile.has_value()) {
@@ -467,9 +420,26 @@ QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
                   out.profile->degradations.end());
     out.profile->degradations = merged;
     out.degradations = std::move(merged);
+    out.profile->result = out.result;
     out.profile->status = out.status;
   }
   return out;
+}
+
+obs::QuerySample query_sample(Algorithm algorithm, const QueryOptions& options,
+                              const QueryResult& result, double total_s) {
+  obs::QuerySample sample;
+  sample.algorithm = static_cast<std::size_t>(algorithm);
+  sample.analytic = static_cast<std::size_t>(options.analytic.kind);
+  sample.status = util::status_code_name(result.status.code());
+  sample.threads = result.threads;
+  sample.deadline_missed =
+      result.status.code() == util::StatusCode::kDeadlineExceeded;
+  sample.queue_ns = to_ns(result.queue_s);
+  sample.prepare_ns = to_ns(result.result.preprocess_s);
+  sample.count_ns = to_ns(result.result.count_s);
+  sample.total_ns = to_ns(total_s);
+  return sample;
 }
 
 }  // namespace detail
@@ -499,31 +469,15 @@ util::Expected<QueryResult> query(Algorithm algorithm,
   if (util::Status admission = validate(algorithm, options.analytic);
       !admission.ok())
     return admission;
+  const Algorithm resolved = detail::resolve(algorithm, graph);
   if (options.telemetry == nullptr || !options.telemetry->enabled())
-    return detail::execute_query(algorithm, graph, options, nullptr);
+    return detail::execute_query(algorithm, resolved, graph, options, nullptr);
 
   util::Timer timer;
-  QueryResult out = detail::execute_query(algorithm, graph, options, nullptr);
-  const double total_s = timer.elapsed_s();
-  const auto to_ns = [](double seconds) {
-    return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9)
-                         : std::uint64_t{0};
-  };
-  obs::QuerySample sample;
-  // The *requested* algorithm labels the series, like the engine path: a
-  // budget fallback shows up in the requested algorithm's latency, not as
-  // phantom gap-forward traffic.
-  sample.algorithm = static_cast<std::size_t>(algorithm);
-  sample.analytic = static_cast<std::size_t>(options.analytic.kind);
-  sample.outcome = obs::CacheOutcome::kUncached;
-  sample.status = util::status_code_name(out.status.code());
-  sample.threads = out.threads;
-  sample.deadline_missed =
-      out.status.code() == util::StatusCode::kDeadlineExceeded;
-  sample.prepare_ns = to_ns(out.result.preprocess_s);
-  sample.count_ns = to_ns(out.result.count_s);
-  sample.total_ns = to_ns(total_s);
-  options.telemetry->record(sample);
+  QueryResult out =
+      detail::execute_query(algorithm, resolved, graph, options, nullptr);
+  options.telemetry->record(
+      detail::query_sample(algorithm, options, out, timer.elapsed_s()));
   return out;
 }
 

@@ -59,7 +59,8 @@
 #include "util/status.hpp"
 
 namespace lotus::obs {
-class Telemetry;  // obs/telemetry.hpp
+class Telemetry;     // obs/telemetry.hpp
+struct QuerySample;  // obs/telemetry.hpp
 }  // namespace lotus::obs
 
 namespace lotus::kernels {
@@ -86,11 +87,12 @@ enum class Algorithm {
 };
 
 /// Which analytic a query computes. Every kind runs over the same prepared
-/// artifacts as plain TC (tc/prepared.hpp): kTriangles/kKClique/kKTruss
-/// traverse the degree-ordered oriented CSR (TC is the k = 3 instance of
-/// kKClique); kLocalCounts/kClustering run through the LOTUS phases when the
-/// substrate algorithm is lotus/adaptive and over the oriented CSR
-/// otherwise. Names below are the stable CLI/schema vocabulary
+/// artifacts as plain TC (tc/prepared.hpp), on the substrate the algorithm
+/// selects: kTriangles and kLocalCounts/kClustering run through the LOTUS
+/// phases on the lotus artifact when the algorithm is lotus (or adaptive
+/// resolved to lotus) and over the degree-ordered oriented CSR otherwise;
+/// kKClique/kKTruss always traverse the oriented CSR (TC is the k = 3
+/// instance of kKClique). Names below are the stable CLI/schema vocabulary
 /// (analytic_name()/parse_analytic() round-trip over the table).
 enum class AnalyticKind {
   kTriangles,    // scalar triangle count (the historical default)
@@ -249,10 +251,9 @@ struct QueryOptions {
   std::uint64_t memory_budget_bytes = 0;
 
   /// When the budget (or an injected allocation fault) vetoes a
-  /// memory-hungry algorithm (lotus, adaptive, forward-hashed,
-  /// forward-bitmap, forward-hybrid), retry once with the scratch-free
-  /// gap-forward merge
-  /// kernel instead of failing. The switch is recorded in
+  /// memory-hungry algorithm (lotus — and adaptive when it resolves to
+  /// lotus — forward-hashed, forward-bitmap, forward-hybrid), retry once
+  /// with the scratch-free gap-forward merge kernel instead of failing. The switch is recorded in
   /// QueryResult::degradations. false = fail with kOutOfMemory.
   bool allow_degradation = true;
 
@@ -275,9 +276,9 @@ struct QueryOptions {
   /// (with a one-line stderr warning) when perf_event_open is unavailable —
   /// a locked-down container must never fail the run. kSimulated replays
   /// the run single-threaded through the simcache model after the real
-  /// (timed) run to attribute modeled events per phase; it is supported for
-  /// lotus/adaptive/gap-forward and reports zero events (with a note) for
-  /// the other baselines.
+  /// (timed) run over the artifact it counted on, to attribute modeled
+  /// events per phase; it is supported for lotus/adaptive/gap-forward and
+  /// reports zero events (with a note) for the other baselines.
   obs::EventSource events = obs::EventSource::kOff;
 
   /// Record the scheduler's task/steal/idle timeline into
@@ -432,15 +433,35 @@ util::Expected<QueryResult> query(Algorithm algorithm,
 class PreparedGraph;  // tc/prepared.hpp
 
 namespace detail {
-/// Shared execution core behind query() and Engine: installs the
-/// query-scoped context/budget, runs `algorithm` (against `prepared`
-/// artifacts when non-null, end-to-end otherwise) with the degradation
-/// retry policy, and assembles the QueryResult (+ ProfileReport when
-/// options.profile). Engine calls this with a prepared graph from its
-/// cache; query() passes nullptr.
-QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
+/// The algorithm that actually runs for `algorithm` on `graph`: kAdaptive
+/// becomes kLotus on a skewed graph (core::should_use_lotus) and
+/// kForwardMerge otherwise; every other algorithm is returned unchanged.
+/// Callers resolve once per query, before choosing the artifact.
+[[nodiscard]] Algorithm resolve(Algorithm algorithm,
+                                const graph::CsrGraph& graph);
+
+/// Shared execution core behind query(), query_prepared() and Engine:
+/// installs the query-scoped context/budget, runs `resolved` (=
+/// resolve(algorithm, graph)) with the degradation retry policy, and
+/// assembles the QueryResult (+ ProfileReport when options.profile), which
+/// is labelled with the requested `algorithm`. Every counted query runs on a
+/// PreparedGraph: `prepared` when non-null (the Engine's cache), otherwise
+/// one built here and timed into preprocess_s; only the algorithms with no
+/// artifact run end-to-end.
+QueryResult execute_query(Algorithm algorithm, Algorithm resolved,
+                          const graph::CsrGraph& graph,
                           const QueryOptions& options,
                           const PreparedGraph* prepared);
+
+/// The telemetry sample of one finished query, labelled with the requested
+/// `algorithm` (a budget fallback shows up in the requested algorithm's
+/// latency, not as gap-forward traffic). `total_s` is the caller-measured
+/// end-to-end time; queue time comes from result.queue_s. The cache outcome
+/// defaults to uncached and the graph key to empty.
+[[nodiscard]] obs::QuerySample query_sample(Algorithm algorithm,
+                                            const QueryOptions& options,
+                                            const QueryResult& result,
+                                            double total_s);
 
 /// The intersection strategy a Forward-family algorithm runs the Forward
 /// loop with (kernels/forward.hpp); nullptr for every other algorithm.
@@ -456,17 +477,16 @@ RunResult run_prepared_kernel(Algorithm algorithm,
                               obs::PhaseTracer* trace);
 
 /// Run one non-triangle analytic (kKClique, kKTruss, kLocalCounts,
-/// kClustering) on the substrate `algorithm` selects, borrowing `prepared`
-/// artifacts when non-null and building them end-to-end otherwise
-/// (implemented in analytics_exec.cpp). Residual per-query work a borrowed
-/// artifact cannot cover — recomputing the degree permutation for
+/// kClustering) on the substrate the resolved `algorithm` selects, borrowed
+/// from `prepared` (implemented in analytics_exec.cpp). Residual per-query
+/// work the artifact cannot cover — recomputing the degree permutation for
 /// per-vertex remaps, relabeling the full graph for the truss peel — is
 /// timed into preprocess_s. Budget vetoes propagate as bad_alloc (the
 /// degradation retry in execute_query applies); cancellation/deadline are
 /// polled inside every traversal.
 RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
                        const QueryOptions& options,
-                       const PreparedGraph* prepared, obs::PhaseTracer* trace);
+                       const PreparedGraph& prepared, obs::PhaseTracer* trace);
 }  // namespace detail
 
 }  // namespace lotus::tc

@@ -48,10 +48,6 @@ EngineOptions normalized(EngineOptions options) {
   return options;
 }
 
-std::uint64_t to_ns(double seconds) {
-  return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9) : 0;
-}
-
 /// Random hex token baked into this engine's spill file names, so two
 /// engines in one process (or a recycled pid) sharing a spill_dir never
 /// write to each other's files.
@@ -188,17 +184,19 @@ void Engine::run_job(Job job) {
           .count();
 
   Acquired acquired;
-  // The artifact kind depends on (algorithm, analytic) but deliberately
-  // collapses analytics onto the same artifacts TC uses — cross-analytic
-  // sharing is the whole point of the cache key.
+  // Adaptive resolves per graph, so it shares the artifact of the algorithm
+  // it runs. The artifact kind depends on (algorithm, analytic) but
+  // deliberately collapses analytics onto the same artifacts TC uses —
+  // cross-analytic sharing is the whole point of the cache key.
+  const Algorithm resolved = detail::resolve(job.spec.algorithm, *job.spec.graph);
   const ArtifactKind kind =
-      artifact_kind(job.spec.algorithm, job.spec.options.analytic.kind);
+      artifact_kind(resolved, job.spec.options.analytic.kind);
   if (kind != ArtifactKind::kNone && !job.spec.graph_key.empty())
     acquired = acquire_artifact(job.spec, kind);
 
   util::Timer exec_timer;
   QueryResult result = detail::execute_query(
-      job.spec.algorithm, *job.spec.graph, job.spec.options,
+      job.spec.algorithm, resolved, *job.spec.graph, job.spec.options,
       acquired.artifact.get());
   const double exec_s = exec_timer.elapsed_s();
   // The builder pays the artifact's construction once; hits ride for free.
@@ -224,18 +222,11 @@ void Engine::run_job(Job job) {
 
   // Record before resolving the promise so a caller that waits on the
   // future and then snapshots telemetry always sees its own query.
-  obs::QuerySample sample;
-  sample.algorithm = static_cast<std::size_t>(job.spec.algorithm);
-  sample.analytic = static_cast<std::size_t>(job.spec.options.analytic.kind);
+  obs::QuerySample sample =
+      detail::query_sample(job.spec.algorithm, job.spec.options, result,
+                           queue_s + exec_s + acquired.build_s);
   sample.outcome = acquired.outcome;
   sample.graph_key = job.spec.graph_key;
-  sample.status = util::status_code_name(result.status.code());
-  sample.threads = result.threads;
-  sample.deadline_missed = deadline_missed;
-  sample.queue_ns = to_ns(queue_s);
-  sample.prepare_ns = to_ns(result.result.preprocess_s);
-  sample.count_ns = to_ns(result.result.count_s);
-  sample.total_ns = to_ns(queue_s + exec_s + acquired.build_s);
   telemetry_->record(sample);
 
   job.promise.set_value(std::move(result));

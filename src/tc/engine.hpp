@@ -8,8 +8,9 @@
 // set of graphs runs (a) concurrently and (b) without re-paying
 // preprocessing: the first query for a (graph, artifact kind, config) triple
 // builds the artifact — degree order + oriented N^< CSR for the Forward
-// family, the LotusGraph (relabeling + H2H + HE/NHE CSX) for lotus/adaptive
-// — and every later query counts against the cached copy
+// family, the LotusGraph (relabeling + H2H + HE/NHE CSX) for lotus; adaptive
+// resolves per graph to one of the two and shares its artifact — and every
+// later query counts against the cached copy
 // (QueryResult::cache_hit, preprocess_s ≈ 0). The cache key is the
 // *artifact* kind, not the analytic — artifact_kind(algorithm, analytic) —
 // so a k-clique query right after a TC query on the same graph is a cache

@@ -8,7 +8,6 @@
 #include "graph/degree_order.hpp"
 #include "graph/oocore.hpp"
 #include "kernels/forward.hpp"
-#include "lotus/adaptive.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/serialize.hpp"
 #include "util/checksum.hpp"
@@ -69,31 +68,27 @@ const char* artifact_kind_name(ArtifactKind kind) {
 
 PreparedGraph PreparedGraph::build(ArtifactKind kind,
                                    const graph::CsrGraph& graph,
-                                   const core::LotusConfig& config) {
+                                   const core::LotusConfig& config,
+                                   obs::PhaseTracer* trace) {
   PreparedGraph out;
   out.kind_ = kind;
   util::Timer timer;
-  switch (kind) {
-    case ArtifactKind::kOriented:
-      out.oriented_ = std::make_shared<const graph::OrientedCsr>(
-          graph::degree_ordered_oriented(graph));
-      out.bytes_ = out.oriented_->topology_bytes();
-      break;
-    case ArtifactKind::kLotus:
-      out.use_lotus_ = core::should_use_lotus(graph);
-      out.lotus_ = std::make_shared<const core::LotusGraph>(
-          core::LotusGraph::build(graph, config));
-      out.bytes_ = out.lotus_->topology_bytes();
-      if (!out.use_lotus_) {
-        // Adaptive will dispatch to Forward on this graph; carry the
-        // oriented CSR too so those queries also count kernel-only.
+  {
+    obs::ScopedSpan span(trace, "preprocess");
+    switch (kind) {
+      case ArtifactKind::kOriented:
         out.oriented_ = std::make_shared<const graph::OrientedCsr>(
             graph::degree_ordered_oriented(graph));
-        out.bytes_ += out.oriented_->topology_bytes();
-      }
-      break;
-    case ArtifactKind::kNone:
-      break;
+        out.bytes_ = out.oriented_->topology_bytes();
+        break;
+      case ArtifactKind::kLotus:
+        out.lotus_ = std::make_shared<const core::LotusGraph>(
+            core::LotusGraph::build(graph, config, trace));
+        out.bytes_ = out.lotus_->topology_bytes();
+        break;
+      case ArtifactKind::kNone:
+        break;
+    }
   }
   out.build_s_ = timer.elapsed_s();
   return out;
@@ -104,14 +99,14 @@ namespace {
 namespace cks = util::checksum;
 
 // "LOTUSPA1" spill artifact: 64-byte header, then the embedded "LOTUSGR1"
-// oriented-CSR image and/or "LOTUSLG2" LotusGraph image, each starting on an
-// 8-byte boundary so the mapped readers can serve aligned views. The
-// embedded images carry their own checksum footers; a spill-level footer
-// covering the 64-byte header closes the file.
+// oriented-CSR image or "LOTUSLG2" LotusGraph image, starting on an 8-byte
+// boundary so the mapped readers can serve aligned views. The embedded
+// image carries its own checksum footer; a spill-level footer covering the
+// 64-byte header closes the file.
 //
 //   bytes 0..7   magic "LOTUSPA1"
 //   bytes 8..11  u32 kind (ArtifactKind enumerator value)
-//   bytes 12..15 u32 use_lotus (0/1)
+//   bytes 12..15 reserved (zero)
 //   bytes 16..23 f64 build_s of the original build
 //   bytes 24..39 u64 oriented_off, oriented_len (0,0 when absent)
 //   bytes 40..55 u64 lotus_off, lotus_len (0,0 when absent)
@@ -173,9 +168,7 @@ util::Status PreparedGraph::save_s(const std::string& path) const {
   std::array<unsigned char, kSpillHeaderBytes> header{};
   std::memcpy(header.data(), kSpillMagic.data(), kSpillMagic.size());
   const std::uint32_t kind32 = static_cast<std::uint32_t>(kind_);
-  const std::uint32_t use32 = use_lotus_ ? 1u : 0u;
   std::memcpy(header.data() + 8, &kind32, sizeof kind32);
-  std::memcpy(header.data() + 12, &use32, sizeof use32);
   std::memcpy(header.data() + 16, &build_s_, sizeof build_s_);
   std::memcpy(header.data() + 24, &oriented_off, 8);
   std::memcpy(header.data() + 32, &oriented_len, 8);
@@ -248,11 +241,10 @@ util::Expected<PreparedGraph> PreparedGraph::load_mapped_s(
     if (!vs.ok()) return vs;
   }
 
-  std::uint32_t kind32 = 0, use32 = 0;
+  std::uint32_t kind32 = 0;
   double build_s = 0.0;
   std::uint64_t oriented_off = 0, oriented_len = 0, lotus_off = 0, lotus_len = 0;
   std::memcpy(&kind32, file->data() + 8, sizeof kind32);
-  std::memcpy(&use32, file->data() + 12, sizeof use32);
   std::memcpy(&build_s, file->data() + 16, sizeof build_s);
   std::memcpy(&oriented_off, file->data() + 24, 8);
   std::memcpy(&oriented_len, file->data() + 32, 8);
@@ -264,7 +256,6 @@ util::Expected<PreparedGraph> PreparedGraph::load_mapped_s(
 
   PreparedGraph out;
   out.kind_ = static_cast<ArtifactKind>(kind32);
-  out.use_lotus_ = use32 != 0;
   out.build_s_ = build_s;
   out.bytes_ = 0;
   if (oriented_len != 0) {
@@ -308,14 +299,6 @@ RunResult run_prepared_kernel(Algorithm algorithm,
           name(algorithm));
     return *prepared.lotus();
   };
-  const auto lotus_count = [&]() -> RunResult {
-    const core::LotusResult r =
-        core::count_triangles_prepared(lotus_graph(), config, trace);
-    RunResult out;
-    out.triangles = r.triangles;
-    out.count_s = r.count_s();
-    return out;
-  };
   const auto forward_count = [&](const auto& kernel) -> RunResult {
     util::Timer timer;
     RunResult out;
@@ -324,28 +307,18 @@ RunResult run_prepared_kernel(Algorithm algorithm,
     if (trace != nullptr) trace->leaf("count", out.count_s);
     return out;
   };
-  const auto forward_with = [&](const kernels::IntersectStrategy& strategy) {
-    return forward_count([&](const graph::OrientedCsr& o) {
-      return baselines::forward_prepared(o, strategy);
-    });
-  };
 
   if (const kernels::IntersectStrategy* strategy = forward_strategy(algorithm))
-    return forward_with(*strategy);
+    return forward_count([&](const graph::OrientedCsr& o) {
+      return baselines::forward_prepared(o, *strategy);
+    });
   switch (algorithm) {
-    case Algorithm::kLotus:
-      return lotus_count();
-    case Algorithm::kAdaptive: {
-      // The dispatch decision was frozen at artifact build time — the graph
-      // has not changed since, and re-deriving it would cost an O(V) scan
-      // per query.
-      if (prepared.use_lotus()) {
-        RunResult out = lotus_count();
-        if (trace != nullptr) trace->note("chosen_algorithm", "lotus");
-        return out;
-      }
-      RunResult out = forward_with(kernels::strategy::kMerge);
-      if (trace != nullptr) trace->note("chosen_algorithm", "forward");
+    case Algorithm::kLotus: {
+      const core::LotusResult r =
+          core::count_triangles_prepared(lotus_graph(), config, trace);
+      RunResult out;
+      out.triangles = r.triangles;
+      out.count_s = r.count_s();
       return out;
     }
     case Algorithm::kEdgeParallel:
@@ -354,7 +327,7 @@ RunResult run_prepared_kernel(Algorithm algorithm,
       return forward_count([](const graph::OrientedCsr& o) {
         return baselines::blocked_tc_prepared(o, graph::VertexId{1} << 14);
       });
-    default:  // edge/node iterator, AYZ, masked SpGEMM
+    default:  // the kNone algorithms; adaptive is resolved before this
       throw std::invalid_argument(name(algorithm) +
                                   " has no prepared artifact; run end-to-end");
   }
@@ -369,7 +342,8 @@ util::Expected<QueryResult> query_prepared(Algorithm algorithm,
   if (util::Status admission = validate(algorithm, options.analytic);
       !admission.ok())
     return admission;
-  return detail::execute_query(algorithm, graph, options, &prepared);
+  return detail::execute_query(algorithm, detail::resolve(algorithm, graph),
+                               graph, options, &prepared);
 }
 
 }  // namespace lotus::tc

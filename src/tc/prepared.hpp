@@ -7,8 +7,9 @@
 // proper. A PreparedGraph freezes the preprocessing products of one
 // (graph, artifact kind, config) triple into immutable, shareable state so
 // repeated queries — and *concurrent* queries — pay the preprocessing once.
-// Every Forward-family baseline shares one kOriented artifact; lotus and
-// adaptive share one kLotus artifact.
+// Every Forward-family baseline shares one kOriented artifact; lotus uses
+// the kLotus artifact. `adaptive` has no artifact of its own: it resolves
+// per graph to lotus or gap-forward (detail::resolve) and shares theirs.
 //
 // Thread-safety: a built PreparedGraph is immutable; any number of queries
 // may count against it concurrently (the kernels only read). Members are
@@ -58,17 +59,16 @@ enum class ArtifactKind {
 
 class PreparedGraph {
  public:
-  /// Build the artifacts of `kind` for `graph`. For kLotus this also
-  /// evaluates the adaptive dispatch predicate (core::should_use_lotus) and
-  /// — when it picks Forward — additionally builds the oriented CSR, so
-  /// adaptive queries on low-skew graphs still count kernel-only.
-  /// Allocation failures (including budget vetoes) propagate as bad_alloc.
+  /// Build the artifact of `kind` for `graph`. A non-null `trace` receives
+  /// a "preprocess" span (with LotusGraph::build's relabel/partition/
+  /// serialize children for kLotus). Allocation failures (including budget
+  /// vetoes) propagate as bad_alloc.
   static PreparedGraph build(ArtifactKind kind, const graph::CsrGraph& graph,
-                             const core::LotusConfig& config = {});
+                             const core::LotusConfig& config = {},
+                             obs::PhaseTracer* trace = nullptr);
 
   [[nodiscard]] ArtifactKind kind() const noexcept { return kind_; }
-  /// Non-null iff kind is kOriented, or kLotus with a Forward-leaning
-  /// adaptive decision.
+  /// Non-null iff kind is kOriented.
   [[nodiscard]] const graph::OrientedCsr* oriented() const noexcept {
     return oriented_.get();
   }
@@ -76,9 +76,6 @@ class PreparedGraph {
   [[nodiscard]] const core::LotusGraph* lotus() const noexcept {
     return lotus_.get();
   }
-  /// The adaptive dispatch decision frozen at build time (kLotus only;
-  /// meaningless otherwise).
-  [[nodiscard]] bool use_lotus() const noexcept { return use_lotus_; }
 
   /// Preprocessing wall time the cache amortizes on every hit.
   [[nodiscard]] double build_s() const noexcept { return build_s_; }
@@ -89,9 +86,9 @@ class PreparedGraph {
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 
   /// Persist as a "LOTUSPA1" spill artifact (64-byte header: kind,
-  /// use_lotus, build_s, section table; then the embedded "LOTUSGR1" and/or
-  /// "LOTUSLG2" images at 8-aligned offsets, each carrying its own checksum
-  /// footer; finally the spill's own header footer), durably (temp + fsync +
+  /// build_s, section table; then the embedded "LOTUSGR1" or "LOTUSLG2"
+  /// image at an 8-aligned offset, carrying its own checksum footer;
+  /// finally the spill's own header footer), durably (temp + fsync +
   /// rename). kNone artifacts have nothing to save → kInvalidArgument.
   [[nodiscard]] util::Status save_s(const std::string& path) const;
 
@@ -99,7 +96,7 @@ class PreparedGraph {
   /// ≈ 0). The file is trusted — this process wrote it — so the O(V+E)
   /// structural scans are skipped; headers and section bounds are still
   /// checked, and `verify` controls checksum verification of the spill
-  /// header and both embedded images (kEager runs it under the SIGBUS guard;
+  /// header and the embedded image (kEager runs it under the SIGBUS guard;
   /// the engine's background-verify knob re-checks kOff mappings off the
   /// query path). The mapping is pinned by the contained graphs, so the
   /// PreparedGraph stays valid even if the file is later unlinked.
@@ -111,7 +108,6 @@ class PreparedGraph {
   ArtifactKind kind_ = ArtifactKind::kNone;
   std::shared_ptr<const graph::OrientedCsr> oriented_;
   std::shared_ptr<const core::LotusGraph> lotus_;
-  bool use_lotus_ = true;
   double build_s_ = 0.0;
   std::uint64_t bytes_ = 0;
 };

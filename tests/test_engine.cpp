@@ -16,6 +16,7 @@
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "lotus/adaptive.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tc/engine.hpp"
 #include "tc/prepared.hpp"
@@ -114,6 +115,24 @@ TEST(Engine, ForwardFamilySharesOneOrientedArtifact) {
       get_ok(engine.submit({tc::Algorithm::kAdaptive, "g", &graph, {}}))
           .cache_hit);
   EXPECT_EQ(engine.stats().cache_entries, 2u);
+}
+
+TEST(Engine, AdaptiveOnAFlatGraphSharesTheOrientedArtifact) {
+  // Adaptive resolves per graph: on a low-skew graph it runs gap-forward,
+  // so it hits the oriented artifact a Forward query already built.
+  const auto graph = g::build_undirected(g::erdos_renyi(1 << 13, 12.0, 2));
+  ASSERT_FALSE(lotus::core::should_use_lotus(graph));
+
+  tc::Engine engine({.num_drivers = 1});
+  EXPECT_FALSE(
+      get_ok(engine.submit({tc::Algorithm::kForwardMerge, "flat", &graph, {}}))
+          .cache_hit);
+  const auto adaptive =
+      get_ok(engine.submit({tc::Algorithm::kAdaptive, "flat", &graph, {}}));
+  EXPECT_TRUE(adaptive.cache_hit);
+  EXPECT_EQ(adaptive.algorithm, tc::Algorithm::kAdaptive);
+  EXPECT_EQ(adaptive.result.triangles, lotus::baselines::brute_force(graph));
+  EXPECT_EQ(engine.stats().cache_entries, 1u);
 }
 
 TEST(Engine, UncacheableAlgorithmsAndEmptyKeysRunEndToEnd) {
@@ -477,7 +496,6 @@ TEST(PreparedGraph, SpillRoundTripServesIdenticalCounts) {
     ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
     const tc::PreparedGraph remapped = loaded.take();
     EXPECT_EQ(remapped.kind(), built.kind());
-    EXPECT_EQ(remapped.use_lotus(), built.use_lotus());
     EXPECT_EQ(remapped.build_s(), built.build_s());
     // Zero-copy: the topology lives in the mapping, not on the heap.
     EXPECT_EQ(remapped.bytes(), 0u);
