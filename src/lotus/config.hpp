@@ -36,11 +36,20 @@ struct LotusConfig {
   /// effective ISA tier additionally honours LOTUS_ISA (kernels/isa.hpp).
   bool vectorize = true;
 
-  /// Degree at or above which the hybrid kernels switch a vertex from merge
-  /// intersection to the dense-bitmap set/probe/clear strategy (the
+  /// NHE out-degree at or above which the NNN phase switches a vertex from
+  /// merge intersection to the dense-bitmap set/probe/clear strategy (the
   /// GraphChallenge-style vertex-range split). 0 disables the bitmap side
   /// (pure vectorized merge). Only meaningful with `vectorize`.
-  std::uint32_t hybrid_degree_threshold = 64;
+  ///
+  /// NHE lists are short (on the SK-S-shaped web graph most hold 5–12
+  /// entries and none reaches 22), so a high threshold leaves every pair on
+  /// a dispatched merge call. Measured NNN seconds, 4 threads on a 4-core
+  /// Xeon (AVX-512), lotusbench web (SK-S ×16) / social (Twtr-S ×16)
+  /// graphs: 0 → 0.64 / 0.15, 2 → 0.32 / 0.07, 4 → 0.31 / 0.07,
+  /// 8 → 0.37 / 0.08, 16 → 0.61 / 0.12, 64 → 0.63 / 0.15. Vertices with
+  /// fewer than two out-neighbours close no triangle and are skipped at any
+  /// threshold.
+  std::uint32_t hybrid_degree_threshold = 2;
 
   /// Resolve the hub count for a graph with `num_vertices` vertices.
   /// Auto rule: 1% of vertices (the hub definition of Table 1), clamped to

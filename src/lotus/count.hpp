@@ -160,15 +160,60 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
 }
 
 /// Phase 2 — HNN (Alg. 3 lines 7-9): for each non-hub edge (v, u), count the
-/// common hub neighbours of v and u in the compact 16-bit HE lists — via the
-/// dispatched 16-bit vectorized merge when `vectorize` and no probe is
-/// attached, the probe-templated scalar mirror otherwise.
+/// common hub neighbours of v and u in the compact 16-bit HE lists.
+///
+/// With `vectorize`, no probe attached and no memory budget accounting, the
+/// count is dense: HE(v) is set once in a per-thread mask over hub-ID space
+/// (hub_count bits, ≤ 8 KiB, the mask shape of count_hhh_hhn), every entry
+/// of HE(u) for u ∈ NHE(v) is tested against it, and the mask is cleared.
+/// Vertices with an empty HE(v) or NHE(v) are skipped. Otherwise every pair
+/// takes kernels::intersect — the dispatched 16-bit merge when `vectorize`,
+/// the probe-templated scalar mirror when probed or `!vectorize` — so the
+/// simcache replays keep their access stream, and under a budget the LOTUS
+/// footprint stays exactly the accounted topology.
 template <typename Probe = kernels::NullProbe>
 std::uint64_t count_hnn(const LotusGraph& lg,
                         Probe& probe = kernels::null_probe,
                         bool vectorize = true) {
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();
+  if constexpr (std::is_same_v<Probe, kernels::NullProbe>) {
+    if (vectorize && !util::memory_accounting_active()) {
+      const std::size_t mask_words = (static_cast<std::size_t>(lg.hub_count()) + 63) / 64;
+      std::vector<std::vector<std::uint64_t>> masks(parallel::max_parallelism());
+      std::vector<parallel::Padded<std::uint64_t>> partial(masks.size());
+      parallel::parallel_for(0, lg.num_vertices(), 64,
+          [&](unsigned thread_index, std::uint64_t chunk_begin, std::uint64_t chunk_end) {
+            std::uint64_t local = 0;
+            std::uint64_t comparisons = 0;  // dead when LOTUS_OBS=0
+            std::uint64_t fruitless = 0;
+            std::vector<std::uint64_t>& mask = masks[thread_index];
+            for (std::uint64_t vi = chunk_begin; vi < chunk_end; ++vi) {
+              const auto v = static_cast<graph::VertexId>(vi);
+              const auto hub_list = he.neighbors(v);
+              const auto nv = nhe.neighbors(v);
+              if (hub_list.empty() || nv.empty()) continue;
+              if (mask.empty()) mask.assign(mask_words, 0);
+              for (const std::uint16_t h : hub_list) mask[h >> 6] |= 1ULL << (h & 63);
+              for (const graph::VertexId u : nv) {
+                std::uint64_t found = 0;
+                const auto hu = he.neighbors(u);
+                for (const std::uint16_t h : hu) found += (mask[h >> 6] >> (h & 63)) & 1u;
+                comparisons += hu.size();
+                fruitless += found == 0 && !hu.empty() ? 1u : 0u;
+                local += found;
+              }
+              for (const std::uint16_t h : hub_list) mask[h >> 6] = 0;
+            }
+            obs::count(obs::Counter::kIntersectComparisons, comparisons);
+            if (fruitless > 0) obs::count(obs::Counter::kFruitlessSearches, fruitless);
+            partial[thread_index].value += local;
+          });
+      std::uint64_t total = 0;
+      for (const auto& p : partial) total += p.value;
+      return total;
+    }
+  }
   return parallel::parallel_reduce_add<std::uint64_t>(
       0, lg.num_vertices(), 64, [&](std::uint64_t vi) {
         const auto v = static_cast<graph::VertexId>(vi);
@@ -186,15 +231,18 @@ std::uint64_t count_hnn(const LotusGraph& lg,
 /// Phase 3 — NNN (Alg. 3 lines 10-12): Forward algorithm restricted to the
 /// NHE sub-graph; hub edges are never touched (the pruning of Sec. 3.3).
 /// Uninstrumented vectorized runs use the sparse-vs-dense hybrid strategy
-/// of the Forward loop (kernels/forward.hpp); probed or `!vectorize` runs
-/// the scalar merge. The dense-bitmap scratch is suppressed — threshold
-/// pushed out of reach — while a memory budget is accounting, so the LOTUS
-/// footprint under a budget stays exactly the accounted topology.
+/// of the Forward loop (kernels/forward.hpp) at `hybrid_degree_threshold`
+/// (by default every vertex that can close a triangle takes the bitmap
+/// side); probed or `!vectorize` runs the scalar merge. The dense-bitmap
+/// scratch is suppressed — threshold pushed out of reach — while a memory
+/// budget is accounting, so the LOTUS footprint under a budget stays
+/// exactly the accounted topology.
 template <typename Probe = kernels::NullProbe>
 std::uint64_t count_nnn(const LotusGraph& lg,
                         Probe& probe = kernels::null_probe,
                         bool vectorize = true,
-                        std::uint32_t hybrid_degree_threshold = 64) {
+                        std::uint32_t hybrid_degree_threshold =
+                            LotusConfig{}.hybrid_degree_threshold) {
   using kernels::DenseSet;
   using kernels::SparseKernel;
   const graph::CsrGraph& nhe = lg.nhe();

@@ -61,9 +61,12 @@ LotusGraph LotusGraph::build(const CsrGraph& graph, const LotusConfig& config,
     obs::ScopedSpan span(tracer, "relabel");
     const auto reorder_count = static_cast<VertexId>(std::max<std::uint64_t>(
         hubs, static_cast<std::uint64_t>(config.relabel_fraction * n)));
-    // create_relabeling_array holds new_id + by_degree + a bool flag array;
-    // old_of_new below adds one more VertexId array.
-    util::charge_current(static_cast<std::uint64_t>(n) * (3 * sizeof(VertexId) + 1),
+    // create_relabeling_array holds new_id, a degree copy to select on and
+    // one 64-bit sort key per reordered vertex; old_of_new below adds one
+    // more VertexId array.
+    util::charge_current(static_cast<std::uint64_t>(n) * 3 * sizeof(VertexId) +
+                             static_cast<std::uint64_t>(std::min(reorder_count, n)) *
+                                 sizeof(std::uint64_t),
                          "relabel_buffers");
     lg.new_id_ = create_relabeling_array(graph, reorder_count);
     if (tracer != nullptr) {
@@ -73,7 +76,11 @@ LotusGraph LotusGraph::build(const CsrGraph& graph, const LotusConfig& config,
   }
 
   std::vector<VertexId> old_of_new(n);
-  for (VertexId v = 0; v < n; ++v) old_of_new[lg.new_id_[v]] = v;
+  parallel::parallel_for(0, n, 1u << 14,
+      [&](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t v = b; v < e; ++v)
+          old_of_new[lg.new_id_[v]] = static_cast<VertexId>(v);
+      });
 
   // Pass 1: per-vertex HE/NHE degrees (Alg. 2 decides he vs nhe per edge).
   util::charge_current((static_cast<std::uint64_t>(n) + 1) * 2 * sizeof(std::uint64_t),

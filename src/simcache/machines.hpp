@@ -3,10 +3,12 @@
 // Each entry describes one evaluation machine's per-core cache hierarchy and
 // TLB. Because the replayed workloads are laptop-scale stand-ins for the
 // paper's billion-edge graphs, each machine also has a `scaled(k)` variant
-// that divides capacities by k — keeping the cache:working-set ratio, and
-// therefore the Fig. 4/5 contrasts, representative.
+// that divides capacities by k — every cache level and the dTLB reach —
+// keeping the cache:working-set ratio, and therefore the Fig. 4/5
+// contrasts, representative.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -34,6 +36,11 @@ struct MachineConfig {
     shrink(m.l1);
     shrink(m.l2);
     shrink(m.l3);
+    // The page size is fixed, so the reach shrinks through the entry count;
+    // at least one entry, and a whole number of sets.
+    const std::uint32_t entries = std::max(1u, dtlb.entries / factor);
+    m.dtlb.associativity = std::min(dtlb.associativity, entries);
+    m.dtlb.entries = entries - entries % m.dtlb.associativity;
     return m;
   }
 };

@@ -12,7 +12,10 @@
 #include "graph/reorder.hpp"
 #include "lotus/count.hpp"
 #include "lotus/lotus.hpp"
+#include "obs/counters.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
+#include "util/memory_budget.hpp"
 
 namespace {
 
@@ -22,6 +25,38 @@ using lotus::core::LotusConfig;
 using lotus::core::LotusGraph;
 using lotus::core::LotusResult;
 using lotus::core::TilingPolicy;
+
+// A probe that is not NullProbe: forces the probe-templated scalar mirrors.
+struct CountingProbe {
+  std::uint64_t reads = 0;
+  void read(const void*, std::size_t) noexcept { ++reads; }
+  void branch(std::uint64_t, bool) noexcept {}
+  void op(std::uint64_t = 1) noexcept {}
+};
+
+// The boundary graphs of LOTUS's own limits, with the hub count each runs at.
+struct BoundaryCase {
+  std::string name;
+  g::CsrGraph graph;
+  g::VertexId hub_count;
+};
+
+std::vector<BoundaryCase> boundary_graphs() {
+  // One vertex adjacent to every other vertex, over a random graph.
+  g::EdgeList universal = g::erdos_renyi(3000, 8.0, 41);
+  for (g::VertexId v = 1; v < universal.num_vertices; ++v)
+    universal.edges.push_back({0, v});
+  return {
+      // Exactly 2^16 hubs, the 16-bit HE cap: hub IDs reach 0xFFFF.
+      {"hubs_2_16", g::build_undirected(g::erdos_renyi((1u << 16) + 4000, 6.0, 42)),
+       1u << 16},
+      {"universal_vertex", g::build_undirected(universal), 0},
+      // Every vertex a hub: HE only, NHE empty.
+      {"all_hubs", g::build_undirected(g::rmat({.scale = 8, .edge_factor = 8, .seed = 43})),
+       256},
+      {"rmat", g::build_undirected(g::rmat({.scale = 11, .edge_factor = 8, .seed = 44})), 0},
+  };
+}
 
 TEST(LotusCount, CompleteGraphs) {
   for (g::VertexId n : {3u, 4u, 10u, 50u}) {
@@ -239,6 +274,76 @@ TEST(LotusCount, IdenticalUnderBothParallelBackends) {
   lotus::parallel::set_backend(lotus::parallel::Backend::kPool);
   EXPECT_EQ(pool_result.triangles, omp_result.triangles);
   EXPECT_EQ(pool_result.hnn, omp_result.hnn);
+}
+
+TEST(LotusCount, HnnDenseMatchesMergeAndProbed) {
+  for (const BoundaryCase& c : boundary_graphs()) {
+    const std::uint64_t expected = brute_force(c.graph);
+    LotusConfig config;
+    config.hub_count = c.hub_count;
+    const auto lg = LotusGraph::build(c.graph, config);
+    if (c.hub_count != 0) EXPECT_EQ(lg.hub_count(), c.hub_count) << c.name;
+    const auto hub = lotus::core::count_hhh_hhn(lg, config);
+    const std::uint64_t rest = hub.hhh + hub.hhn + lotus::core::count_nnn(lg);
+
+    const std::uint64_t dense = lotus::core::count_hnn(lg);
+    const std::uint64_t merge =
+        lotus::core::count_hnn(lg, lotus::kernels::null_probe, /*vectorize=*/false);
+    CountingProbe probe;
+    const unsigned threads = lotus::parallel::num_threads();
+    lotus::parallel::set_num_threads(1);  // probes are unsynchronized
+    const std::uint64_t probed = lotus::core::count_hnn(lg, probe);
+    lotus::parallel::set_num_threads(threads);
+
+    EXPECT_EQ(rest + dense, expected) << c.name;
+    EXPECT_EQ(merge, dense) << c.name;
+    EXPECT_EQ(probed, dense) << c.name;
+  }
+}
+
+TEST(LotusCount, HnnAndNnnChargeNoScratchUnderABudget) {
+  // Under an active budget HNN keeps the merge and NNN never reaches the
+  // bitmap side, so the counting phases add nothing to the accounted
+  // topology: a budget that fits the build exactly still counts.
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 11, .edge_factor = 8, .seed = 45}));
+  const std::uint64_t expected = brute_force(graph);
+  LotusConfig config;
+  std::uint64_t build_bytes = 0;
+  {
+    lotus::util::MemoryBudget accounting;  // unlimited: measures the build
+    lotus::util::ScopedMemoryBudget scoped(&accounting);
+    (void)LotusGraph::build(graph, config);
+    build_bytes = accounting.used();
+  }
+  lotus::util::MemoryBudget budget(build_bytes);
+  lotus::util::ScopedMemoryBudget scoped(&budget);
+  const auto lg = LotusGraph::build(graph, config);
+  ASSERT_EQ(budget.used(), build_bytes);
+  const auto hub = lotus::core::count_hhh_hhn(lg, config);
+  const auto comparisons = [] {
+    return lotus::obs::counters_snapshot()[lotus::obs::Counter::kIntersectComparisons];
+  };
+  const std::uint64_t before_hnn = comparisons();
+  const std::uint64_t hnn = lotus::core::count_hnn(lg);
+  const std::uint64_t hnn_comparisons = comparisons() - before_hnn;
+  const std::uint64_t nnn =
+      lotus::core::count_nnn(lg, lotus::kernels::null_probe, /*vectorize=*/true,
+                             /*hybrid_degree_threshold=*/2);
+  EXPECT_EQ(budget.used(), build_bytes);
+  EXPECT_EQ(hub.hhh + hub.hhn + hnn + nnn, expected);
+
+  // HNN took the merge: it accounts |HE(v)| + |HE(u)| per non-empty pair,
+  // where the hub mask would account |HE(u)| alone.
+  if (lotus::obs::enabled()) {
+    std::uint64_t merge_comparisons = 0;
+    for (g::VertexId v = 0; v < lg.num_vertices(); ++v)
+      for (const g::VertexId u : lg.nhe().neighbors(v))
+        if (lg.he().degree(v) > 0 && lg.he().degree(u) > 0)
+          merge_comparisons += lg.he().degree(v) + lg.he().degree(u);
+    EXPECT_GT(merge_comparisons, 0u);
+    EXPECT_EQ(hnn_comparisons, merge_comparisons);
+  }
 }
 
 TEST(LotusCount, RepeatedRunsAreDeterministic) {

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "lotus/config.hpp"
 #include "lotus/relabel.hpp"
 
 namespace {
@@ -79,6 +83,53 @@ TEST(Relabeling, ReorderCountLargerThanGraphIsClamped) {
     seen[id] = true;
   }
   EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool x) { return x; }));
+}
+
+// The ranking as a full stable sort by descending degree computes it: the
+// reference the selection-based create_relabeling_array must reproduce.
+std::vector<g::VertexId> full_stable_sort_relabeling(const g::CsrGraph& graph,
+                                                     g::VertexId reorder_count) {
+  const g::VertexId n = graph.num_vertices();
+  reorder_count = std::min(reorder_count, n);
+  std::vector<g::VertexId> by_degree(n);
+  std::iota(by_degree.begin(), by_degree.end(), 0);
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&graph](g::VertexId a, g::VertexId b) {
+                     return graph.degree(a) > graph.degree(b);
+                   });
+  std::vector<g::VertexId> new_id(n);
+  std::vector<bool> reordered(n, false);
+  for (g::VertexId rank = 0; rank < reorder_count; ++rank) {
+    new_id[by_degree[rank]] = rank;
+    reordered[by_degree[rank]] = true;
+  }
+  g::VertexId next = reorder_count;
+  for (g::VertexId v = 0; v < n; ++v)
+    if (!reordered[v]) new_id[v] = next++;
+  return new_id;
+}
+
+TEST(Relabeling, MatchesFullStableSortReference) {
+  // Tie-heavy inputs: every vertex of a ring, of a complete graph and of an
+  // edgeless graph shares one degree, a star all but one. The large ring
+  // and the rmat graph span several scan blocks, so the quota of vertices
+  // taken at the cut degree is split across blocks.
+  const std::vector<std::pair<std::string, g::CsrGraph>> graphs = {
+      {"ring", g::build_undirected(g::cycle(1000))},
+      {"large_ring", g::build_undirected(g::cycle(100000))},
+      {"star", g::build_undirected(g::star(500))},
+      {"complete", g::build_undirected(g::complete(60))},
+      {"edgeless", g::build_undirected({300, {}})},
+      {"empty", g::build_undirected({0, {}})},
+      {"rmat", g::build_undirected(g::rmat({.scale = 16, .edge_factor = 4, .seed = 5}))},
+  };
+  for (const auto& [name, graph] : graphs) {
+    const g::VertexId n = graph.num_vertices();
+    const g::VertexId hubs = lotus::core::LotusConfig{}.resolve_hub_count(n);
+    for (const g::VertexId k : {g::VertexId{0}, g::VertexId{1}, hubs, n / 2, n})
+      EXPECT_EQ(create_relabeling_array(graph, k), full_stable_sort_relabeling(graph, k))
+          << name << " reorder_count=" << k;
+  }
 }
 
 TEST(Relabeling, ZeroReorderCountIsIdentity) {

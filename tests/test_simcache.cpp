@@ -2,6 +2,8 @@
 // the composite PerfModel probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "simcache/branch_predictor.hpp"
 #include "util/prng.hpp"
 #include "simcache/cache_model.hpp"
@@ -119,6 +121,13 @@ TEST(Machines, ScaledKeepsGeometryValid) {
       int x = 0;
       model.read(&x, 4);
       EXPECT_EQ(model.counters().loads, 1u);
+      // The dTLB reach shrinks by the same factor, down to one page.
+      const std::uint64_t reach =
+          std::uint64_t{machine.dtlb.entries} * machine.dtlb.page_bytes;
+      EXPECT_EQ(std::uint64_t{scaled.dtlb.entries} * scaled.dtlb.page_bytes,
+                std::max<std::uint64_t>(machine.dtlb.page_bytes, reach / factor))
+          << machine.name << " /" << factor;
+      EXPECT_EQ(scaled.dtlb.entries % scaled.dtlb.associativity, 0u);
     }
   }
 }
